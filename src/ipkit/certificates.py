@@ -139,7 +139,7 @@ def load_document(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also undecodable bytes and over-long integers
             raise InputError(f"not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
@@ -155,18 +155,32 @@ def comparable_form(doc: dict) -> dict:
 
 
 def _parse_decimal(value, what: str) -> int:
-    if isinstance(value, str):
+    # canonical [1-9][0-9]*; int() keeps the int->str digit limit, so huge
+    # decimals are refused rather than parsed in quadratic time
+    if isinstance(value, str) and value.isascii() and value.isdigit() and value[0] != "0":
         try:
-            return int(value, 10)
+            return int(value)
         except ValueError:
             pass
-    raise InputError(f"{what} must be a decimal string, got {value!r}")
+    raise InputError(f"{what} must be a canonical decimal string, got {value!r}")
 
 
 def _field(doc: dict, name: str):
     if name not in doc or doc[name] is None:
         raise InputError(f"document is missing field {name!r}")
     return doc[name]
+
+
+def budget_from_document(doc: dict) -> tuple[SearchBudget, int]:
+    """The recorded budget and node count; raises only if they are malformed."""
+    raw = _field(doc, "budget")
+    fields = ("depth", "window", "max_block", "node_limit")
+    if not isinstance(raw, dict) or sorted(raw) != sorted(fields):
+        raise InputError(f"budget must be an object with fields {', '.join(fields)}, got {raw!r}")
+    nodes = _field(doc, "nodes")
+    if not isinstance(nodes, int) or isinstance(nodes, bool):
+        raise InputError(f"nodes must be an integer, got {nodes!r}")
+    return SearchBudget(**raw), nodes
 
 
 def certificate_from_document(doc: dict) -> Certificate:

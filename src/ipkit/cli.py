@@ -16,6 +16,7 @@ import sys
 from .certificates import (
     KIND_REFUTATION,
     KIND_SEMIGROUP,
+    budget_from_document,
     certificate_from_document,
     hindman_document,
     load_document,
@@ -32,6 +33,7 @@ from .search import (
     DEFAULT_NODE_LIMIT,
     OutcomeKind,
     SearchBudget,
+    budget_failure,
     search_subsystem,
     verification_failure,
 )
@@ -102,8 +104,15 @@ def parse_sequence_source(source: str) -> tuple[int, ...]:
 
 
 def _print_values(label: str, values) -> None:
+    # exact decimals past the int->str digit limit, lifted only while printing;
+    # one value is converted at a time, so no copy of the whole line is built
     ordered = sorted(values)
-    print(f"{label} ({len(ordered)} values): {' '.join(str(v) for v in ordered)}")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(f"{label} ({len(ordered)} values):", *ordered)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _cmd_fs(args) -> int:
@@ -163,7 +172,8 @@ def _cmd_search(args) -> int:
 def _cmd_verify(args) -> int:
     doc = load_document(args.cert)
     cert = certificate_from_document(doc)
-    failure = verification_failure(cert)
+    budget, nodes = budget_from_document(doc)
+    failure = verification_failure(cert) or budget_failure(cert, budget, nodes)
     if failure is None:
         print(
             f"certificate verifies: {len(cert.ys)} blocks, "

@@ -13,7 +13,9 @@ deliberate (a witness is a set-like object, a subsystem is a stage list).
 
 :func:`hindman_finite` plays the partition game on a finite window: all
 terms and all their subset sums must stay inside [1..N], where the coloring
-is defined, and share one color.
+is defined, and share one color.  Both searches are one lexicographic DFS
+that fixes the first term and then tests membership in one set: the target
+for FS witnesses, the first term's color class for Hindman.
 """
 
 from __future__ import annotations
@@ -46,43 +48,51 @@ class FsWitness:
         return len(self.terms)
 
 
+def _first_witness(bound: int, depth: int, test_for) -> FsWitness | None:
+    """Lexicographically first witness with terms <= bound, or None when there is none.
+
+    ``test_for(x_1)`` gives the membership test that x_1, every later term
+    and every sum must pass.  Pruning prefixes whose sums fail skips nothing.
+    """
+
+    def extend(chosen: tuple[int, ...], sums: tuple[int, ...], admissible):
+        if len(chosen) == depth:
+            return chosen
+        for nxt in range(chosen[-1] + 1, bound + 1):
+            if not admissible(nxt):
+                continue
+            for t in sums:
+                if not admissible(t + nxt):
+                    break
+            else:
+                grown = sums + tuple(t + nxt for t in sums) + (nxt,)
+                found = extend(chosen + (nxt,), grown, admissible)
+                if found is not None:
+                    return found
+        return None
+
+    for first in range(1, bound + 1):
+        admissible = test_for(first)
+        if admissible(first):
+            found = extend((first,), (first,), admissible)
+            if found is not None:
+                return FsWitness(found)
+    return None
+
+
 def find_fs_witness(target: SetSpec, depth: int, bound: int) -> FsWitness | None:
     """Lexicographically first witness with terms <= bound and all sums in target.
 
     Sums may exceed ``bound``; only the terms live inside the window,
     membership of sums is the target's business.  Returns None only after
-    complete enumeration (prefixes whose partial sums already escape the
-    target are pruned, which skips no viable candidate).
+    complete enumeration.
     """
     if depth < 1:
         raise InputError(f"witness depth must be >= 1, got {depth}")
     if bound < depth:
         raise InputError(f"window bound {bound} too small for depth {depth}")
     admissible = target.predicate()
-    chosen: list[int] = []
-
-    def extend(last: int, sums: tuple[int, ...]) -> bool:
-        for nxt in range(last + 1, bound + 1):
-            if not admissible(nxt):
-                continue
-            ok = True
-            for t in sums:
-                if not admissible(t + nxt):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            chosen.append(nxt)
-            if len(chosen) == depth:
-                return True
-            if extend(nxt, sums + tuple(t + nxt for t in sums) + (nxt,)):
-                return True
-            chosen.pop()
-        return False
-
-    if extend(0, ()):
-        return FsWitness(tuple(chosen))
-    return None
+    return _first_witness(bound, depth, lambda first: admissible)
 
 
 def ip_star_refute(target: SetSpec, depth: int, bound: int) -> FsWitness | None:
@@ -165,40 +175,19 @@ def hindman_finite(coloring: Coloring, depth: int) -> tuple[int, FsWitness] | No
     """First monochromatic witness whose terms and sums all stay in [1..N].
 
     Sums leaving the window disqualify a candidate: the coloring is undefined
-    there.  Returns (color, witness) in canonical (lexicographic) order, or
-    None after complete enumeration.
+    there.  The target is the first term's color class inside [1..N].
+    Returns (color, witness) in canonical (lexicographic) order, or None
+    after complete enumeration.
     """
     if depth < 1:
         raise InputError(f"witness depth must be >= 1, got {depth}")
-    bound = coloring.bound
     colors = coloring.colors
-    chosen: list[int] = []
-
-    def extend(last: int, sums: tuple[int, ...], color: int) -> bool:
-        for nxt in range(last + 1, bound + 1):
-            if colors[nxt - 1] != color:
-                continue
-            ok = True
-            for t in sums:
-                total = t + nxt
-                if total > bound or colors[total - 1] != color:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            chosen.append(nxt)
-            if len(chosen) == depth:
-                return True
-            if extend(nxt, sums + tuple(t + nxt for t in sums) + (nxt,), color):
-                return True
-            chosen.pop()
-        return False
-
-    for first in range(1, bound + 1):
-        color = colors[first - 1]
-        chosen = [first]
-        if depth == 1:
-            return color, FsWitness((first,))
-        if extend(first, (first,), color):
-            return color, FsWitness(tuple(chosen))
-    return None
+    classes: dict[int, set[int]] = {}
+    for value, color in enumerate(colors, start=1):
+        classes.setdefault(color, set()).add(value)
+    witness = _first_witness(
+        coloring.bound, depth, lambda first: classes[colors[first - 1]].__contains__
+    )
+    if witness is None:
+        return None
+    return colors[witness.terms[0] - 1], witness

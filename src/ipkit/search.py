@@ -185,10 +185,14 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
 
     Returns the canonically first certificate, a proof that the bounded space
     holds none, or a node-limit report.  One node = one candidate block
-    tested.  Found certificates are re-checked by :func:`verify_certificate`
-    before being returned.
+    tested.  Depths past ``VERIFY_DEPTH_CAP`` are refused up front.  Found
+    certificates are re-checked, budget included, before being returned.
     """
     terms = _validated_window(x, budget)
+    if budget.depth > VERIFY_DEPTH_CAP:
+        raise RefusalError(
+            f"search depth {budget.depth} exceeds verification cap {VERIFY_DEPTH_CAP}"
+        )
     spec_text = render_spec(target)
     nodes = 0
     limit_hit = False
@@ -231,7 +235,7 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
             fp=final.fp,
             spec_text=spec_text,
         )
-        failure = verification_failure(cert)
+        failure = verification_failure(cert) or budget_failure(cert, budget, nodes)
         if failure is not None:
             raise StructuralError(f"search produced a bad certificate: {failure}")
         return SearchOutcome(OutcomeKind.FOUND, replace(cert, verified=True), nodes)
@@ -323,6 +327,21 @@ def verification_failure(cert: Certificate) -> str | None:
     for v in sorted(fs | fp):
         if not target.contains(v):
             return f"element {v} of FS u FP is not in the target set"
+    return None
+
+
+def budget_failure(cert: Certificate, budget: SearchBudget, nodes: int) -> str | None:
+    """How a certificate that passed :func:`verification_failure` breaks its budget, or None."""
+    if len(cert.blocks) != budget.depth:
+        return f"{len(cert.blocks)} blocks recorded for budget depth {budget.depth}"
+    for block in cert.blocks:
+        if len(block) > budget.max_block:
+            return f"block {block} has more than max_block {budget.max_block} indices"
+    last = max(cert.blocks[-1])
+    if last > budget.window:
+        return f"block index {last} outside budget window {budget.window}"
+    if not budget.depth <= nodes <= budget.node_limit:
+        return f"node count {nodes} outside depth..node limit, {budget.depth}..{budget.node_limit}"
     return None
 
 

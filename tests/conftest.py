@@ -1,8 +1,9 @@
 """Shared helpers: independent subset-enumeration oracles and random inputs.
 
 The oracles here deliberately share no code with the package's incremental
-folds: finite sums and products are rebuilt from itertools.combinations so
-the two routes can disagree if either is wrong.
+folds: finite sums and products are rebuilt from itertools.combinations, and
+minimal ideals from the whole subset lattice, so the two routes can disagree
+if either is wrong.
 """
 
 from itertools import combinations
@@ -27,6 +28,41 @@ def fp_oracle(ys):
                 prod *= v
             out.add(prod)
     return frozenset(out)
+
+
+def _ideal_masks(n, absorb):
+    """Bitmasks of all non-empty I with absorb[a] a subset of I for each a in I."""
+    ideals = []
+    for mask in range(1, 1 << n):
+        m = mask
+        while m:
+            low = m & -m
+            if absorb[low.bit_length() - 1] & ~mask:
+                break
+            m ^= low
+        else:
+            ideals.append(mask)
+    return ideals
+
+
+def _minimal_sets(n, masks):
+    minimal = [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
+    return tuple(sorted((frozenset(a for a in range(n) if m >> a & 1) for m in minimal), key=sorted))
+
+
+def ideals_oracle(sg):
+    """(minimal left, minimal right, kernel) by enumerating all 2^n subsets.
+
+    I is a left ideal when s*a lies in I for every s and every a in I; the
+    minimal ones have no other ideal strictly inside.  The package finds the
+    same sets as minimal principal ideals instead.
+    """
+    n = sg.order
+    left_absorb = [sum(1 << v for v in {sg.mul(s, a) for s in range(n)}) for a in range(n)]
+    right_absorb = [sum(1 << v for v in {sg.mul(a, s) for s in range(n)}) for a in range(n)]
+    left = _minimal_sets(n, _ideal_masks(n, left_absorb))
+    right = _minimal_sets(n, _ideal_masks(n, right_absorb))
+    return left, right, frozenset().union(*left)
 
 
 def random_spec(rng, depth=2):

@@ -10,6 +10,7 @@ from ipkit.certificates import (
     KIND_REFUTATION,
     KIND_SEARCH,
     KIND_WITNESS,
+    budget_from_document,
     certificate_from_document,
     comparable_form,
     dumps_document,
@@ -130,10 +131,43 @@ def test_certificate_from_document_errors():
         certificate_from_document({**doc, "ys": [6, 6]})
     with pytest.raises(InputError, match="decimal string"):
         certificate_from_document({**doc, "ys": ["6", "six"]})
+    for loose in (" +1", "2_0", "007"):
+        with pytest.raises(InputError, match="canonical decimal string"):
+            certificate_from_document({**doc, "x": [loose] + doc["x"][1:]})
     with pytest.raises(InputError, match="list of integers"):
         certificate_from_document({**doc, "blocks": [[1, 2, 3], "6"]})
     with pytest.raises(InputError, match="spec field"):
         certificate_from_document({**doc, "spec": 6})
+
+
+def test_budget_from_document():
+    doc = _search_doc()
+    budget, nodes = budget_from_document(doc)
+    assert budget == BUDGET
+    assert nodes == doc["nodes"]
+    malformed = [
+        {**doc, "budget": None},
+        {**doc, "budget": [2, 32, 4, 1_000_000]},
+        {**doc, "budget": {"depth": 2, "window": 32, "max_block": 4}},
+        {**doc, "budget": {**doc["budget"], "extra": 1}},
+        {**doc, "budget": {**doc["budget"], "depth": "2"}},
+        {**doc, "budget": {**doc["budget"], "max_block": 0}},
+        {**doc, "nodes": "7"},
+        {**doc, "nodes": True},
+    ]
+    for bad in malformed:
+        with pytest.raises(InputError):
+            budget_from_document(bad)
+
+
+def test_load_document_rejects_over_long_integers(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"format_version": 1, "nodes": ' + "9" * 5000 + "}")
+    with pytest.raises(InputError, match="not a JSON document"):
+        load_document(path)
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(InputError, match="not a JSON document"):
+        load_document(path)
 
 
 def test_tampered_document_fails_verification():

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
+from conftest import fp_oracle
 from ipkit.certificates import comparable_form, load_document
 from ipkit.cli import main, parse_sequence_source
 from ipkit.errors import InputError
@@ -37,6 +39,34 @@ def test_fs_fp_output(capsys):
     code, out, _ = run(capsys, "fp", "--seq", "nat:3")
     assert code == 0
     assert "FP (4 values): 1 2 3 6" in out
+
+
+@contextmanager
+def int_str_digits(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_fp_listing_past_int_str_digit_limit(capsys, tmp_path):
+    terms = [7**3000, 7**3001 + 2, 3**5000]  # each below the limit, products past it
+    path = tmp_path / "big.txt"
+    path.write_text("\n".join(str(t) for t in terms) + "\n")
+    values = sorted(fp_oracle(terms))
+    assert values[-1] >= 10**4300
+    with int_str_digits(0):
+        expected = f"FP ({len(values)} values): {' '.join(str(v) for v in values)}\n"
+    with int_str_digits(4300):
+        code, out, _ = run(capsys, "fp", "--seq", f"file:{path}")
+        assert (code, out) == (0, expected)
+        code, out, _ = run(capsys, "fp", "--seq", "pow:10:100")
+        assert code == 0
+        assert out.startswith("FP (5050 values): 10 100 1000 ")
+        assert out.endswith(" 1" + "0" * 5050 + "\n")
+        assert sys.get_int_max_str_digits() == 4300  # the limit is back in force
 
 
 def test_search_found_exit_zero(capsys, tmp_path):
@@ -104,6 +134,41 @@ def test_verify_tampered_exit_one(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--cert", str(path))
     assert code == 1
     assert "does not verify" in out
+
+
+def test_search_depth_past_verify_cap_exit_two(capsys):
+    code, _, err = run(
+        capsys, "search", "--seq", "nat:60", "--spec", "mod(1,0)",
+        "--depth", "23", "--max-block", "1",
+    )
+    assert code == 2
+    assert "verification cap 22" in err
+
+
+def test_verify_checks_budget(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    run(capsys, "search", "--seq", "nat:32", "--spec", "mod(6,0)", "--depth", "2",
+        "--json", str(path))
+    doc = json.loads(path.read_text())
+    assert doc["blocks"][0] == [1, 2, 3]
+    broken = [
+        {"budget": {**doc["budget"], "max_block": 1, "depth": 99}, "nodes": -5},
+        {"budget": {**doc["budget"], "depth": 3}},
+        {"budget": {**doc["budget"], "max_block": 2}},
+        {"budget": {**doc["budget"], "window": 5}},
+        {"nodes": 1},
+        {"nodes": doc["budget"]["node_limit"] + 1},
+    ]
+    for change in broken:
+        path.write_text(json.dumps({**doc, **change}))
+        code, out, _ = run(capsys, "verify", "--cert", str(path))
+        assert (code, out.split(":")[0]) == (1, "certificate does not verify"), change
+    malformed = [{"budget": {"depth": 2}}, {"budget": {**doc["budget"], "window": 0}},
+                 {"nodes": "7"}, {"x": [" +1"] + doc["x"][1:]}]
+    for change in malformed:
+        path.write_text(json.dumps({**doc, **change}))
+        code, _, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2 and "error:" in err, change
 
 
 def test_verify_membership_tamper_prints_element(capsys, tmp_path):

@@ -16,7 +16,15 @@ from ipkit.partition import (
     parse_coloring,
     scale_witness,
 )
-from ipkit.setspec import Bitmap, Complement, Congruence, dilation_preimage, parse_spec
+from ipkit.setspec import (
+    Bitmap,
+    Complement,
+    Congruence,
+    Intersection,
+    Interval,
+    dilation_preimage,
+    parse_spec,
+)
 
 ODDS = Congruence(2, 1)
 
@@ -213,3 +221,21 @@ def test_hindman_agrees_with_all_colorings_oracle_small():
         for colors in product((0, 1), repeat=bound):
             got = hindman_finite(Coloring(colors), 2)
             assert (got is not None) == oracle(colors, 2)
+
+
+def test_hindman_is_first_fs_witness_over_color_classes():
+    """The lexicographic minimum over colors of a witness in and(range(1,N), bits(class; N))."""
+    rng = random.Random(2026)
+    for _ in range(60):
+        bound = rng.randint(3, 40)
+        colors = tuple(rng.randrange(rng.randint(1, 3)) for _ in range(bound))
+        depth = rng.randint(1, 3)
+        candidates = []
+        for color in sorted(set(colors)):
+            members = frozenset(v for v in range(1, bound + 1) if colors[v - 1] == color)
+            target = Intersection((Interval(1, bound), Bitmap(members, bound)))
+            w = find_fs_witness(target, depth, bound)
+            if w is not None:
+                candidates.append((w.terms, color, w))
+        expected = min(candidates)[1:] if candidates else None
+        assert hindman_finite(Coloring(colors), depth) == expected, (colors, depth)

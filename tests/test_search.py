@@ -15,6 +15,7 @@ from ipkit.search import (
     SearchBudget,
     _extend_constraint,
     brute_force_subsystem,
+    budget_failure,
     count_block_systems,
     iter_block_systems,
     iter_blocks,
@@ -281,6 +282,34 @@ def test_verify_depth_cap():
     )
     with pytest.raises(RefusalError, match="verification cap"):
         verification_failure(cert)
+
+
+def test_search_refuses_depth_past_verify_cap_before_searching(monkeypatch):
+    def no_candidates(*args):
+        raise AssertionError("a candidate block was enumerated")
+
+    monkeypatch.setattr("ipkit.search.iter_blocks", no_candidates)
+    x = tuple(range(1, 61))
+    with pytest.raises(RefusalError, match="search depth 23 exceeds verification cap 22"):
+        search_subsystem(x, Congruence(1, 0), SearchBudget(depth=23, window=60, max_block=1))
+
+
+def test_budget_failure():
+    budget = SearchBudget(depth=2, window=32)
+    out = search_subsystem(NAT32, MOD6, budget)
+    cert = out.certificate
+    assert cert.blocks == ((1, 2, 3), (6,))
+    assert budget_failure(cert, budget, out.nodes) is None
+    cases = [
+        (replace(budget, depth=3), out.nodes, "2 blocks recorded for budget depth 3"),
+        (replace(budget, max_block=2), out.nodes, "more than max_block 2"),
+        (replace(budget, window=5), out.nodes, "block index 6 outside budget window 5"),
+        (budget, 1, "node count 1 outside"),
+        (budget, -5, "node count -5 outside"),
+        (replace(budget, node_limit=out.nodes - 1), out.nodes, "node count"),
+    ]
+    for bad_budget, nodes, message in cases:
+        assert message in budget_failure(cert, bad_budget, nodes)
 
 
 def test_every_found_outcome_verifies():

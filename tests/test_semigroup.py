@@ -1,12 +1,15 @@
 """Cayley tables: validation, idempotents, ideals, kernel, order, product formula."""
 
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
+from conftest import ideals_oracle
 from ipkit.errors import AssociativityError, InputError, RefusalError
 from ipkit.semigroup import (
     FiniteSemigroup,
+    _compose_closure,
     all_semigroups,
     cyclic_group,
     group_check,
@@ -35,6 +38,44 @@ def named_corpus():
         out.append(right_zero(n))
         out.append(null_semigroup(n))
     return out
+
+
+def relabel(sg, rng):
+    """The same semigroup with its elements renamed by a random permutation."""
+    n = sg.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[sg.mul(a, b)]
+    return validate_table(table)
+
+
+def group_times_rectangular_band(g, rows, cols):
+    """Z_g x (rows x cols rectangular band): (x, i, j)(y, k, l) = (x + y, i, l)."""
+    elems = list(product(range(g), range(rows), range(cols)))
+    index = {e: i for i, e in enumerate(elems)}
+    return validate_table(
+        [[index[((x[0] + y[0]) % g, x[1], y[2])] for y in elems] for x in elems]
+    )
+
+
+def large_corpus():
+    """Relabelled order-13..17 tables from three families."""
+    rng = random.Random(1)
+    tables = [
+        multiplication_mod(13),
+        multiplication_mod(16),
+        group_times_rectangular_band(2, 2, 4),
+        group_times_rectangular_band(3, 1, 5),
+        group_times_rectangular_band(1, 4, 4),
+        transformation_semigroup([(3, 1, 0, 0), (0, 2, 0, 3)]),
+        transformation_semigroup([(3, 1, 3, 1), (0, 3, 3, 2)]),
+        transformation_semigroup([(2, 3, 3, 3), (1, 2, 2, 0)]),
+    ]
+    assert sorted(sg.order for sg in tables) == [13, 13, 15, 16, 16, 16, 17, 17]
+    return [relabel(sg, rng) for sg in tables]
 
 
 def test_validate_table_examples():
@@ -153,6 +194,25 @@ def test_kernel_union_coincidence_across_corpus():
         assert left_union == right_union == st.kernel
 
 
+def test_ideal_structure_matches_lattice_oracle():
+    corpus = (
+        named_corpus()
+        + all_semigroups(3)
+        + sampled_transformation_semigroups(seed=2026)
+        + large_corpus()
+    )
+    for sg in corpus:
+        st = ideal_structure(sg, order_cap=17)
+        assert (st.minimal_left, st.minimal_right, st.kernel) == ideals_oracle(sg), sg.table
+
+
+def test_ideal_structure_order_48():
+    # the subset lattice would hold 2^48 candidates here
+    st = ideal_structure(multiplication_mod(48), order_cap=48)
+    assert st.kernel == frozenset({0})
+    assert st.minimal_left == st.minimal_right == (frozenset({0}),)
+
+
 def test_idempotent_order_multiplication_mod6():
     order = idempotent_order(multiplication_mod(6))
     assert (3, 1) in order.leq and (1, 3) not in order.leq
@@ -264,6 +324,32 @@ def test_transformation_semigroup():
         transformation_semigroup([])
     with pytest.raises(InputError):
         transformation_semigroup([(0, 3)])
+
+
+def test_compose_closure_full_t5():
+    # a 5-cycle, a transposition and a rank-4 map generate all 5^5 self-maps
+    maps = _compose_closure([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 0, 2, 3, 4)])
+    assert len(maps) == 3125
+    assert maps == sorted(product(range(5), repeat=5))
+
+
+def test_compose_closure_matches_all_pairs_fixpoint():
+    def all_pairs(maps):
+        seen = set(maps)
+        while True:
+            grown = seen | {tuple(f[x] for x in g) for f in seen for g in seen}
+            if grown == seen:
+                return sorted(seen)
+            seen = grown
+
+    rng = random.Random(400)
+    for _ in range(60):
+        degree = rng.randint(2, 4)
+        gens = [
+            tuple(rng.randrange(degree) for _ in range(degree))
+            for _ in range(rng.randint(1, 3))
+        ]
+        assert _compose_closure(gens) == all_pairs(gens), gens
 
 
 def test_sampled_transformation_semigroups_deterministic():
