@@ -104,15 +104,8 @@ def parse_sequence_source(source: str) -> tuple[int, ...]:
 
 
 def _print_values(label: str, values) -> None:
-    # exact decimals past the int->str digit limit, lifted only while printing;
-    # one value is converted at a time, so no copy of the whole line is built
     ordered = sorted(values)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        print(f"{label} ({len(ordered)} values):", *ordered)
-    finally:
-        sys.set_int_max_str_digits(saved)
+    print(f"{label} ({len(ordered)} values): {' '.join(str(v) for v in ordered)}")
 
 
 def _cmd_fs(args) -> int:

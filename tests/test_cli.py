@@ -3,11 +3,9 @@
 import json
 import subprocess
 import sys
-from contextlib import contextmanager
 
 import pytest
 
-from conftest import fp_oracle
 from ipkit.certificates import comparable_form, load_document
 from ipkit.cli import main, parse_sequence_source
 from ipkit.errors import InputError
@@ -39,34 +37,6 @@ def test_fs_fp_output(capsys):
     code, out, _ = run(capsys, "fp", "--seq", "nat:3")
     assert code == 0
     assert "FP (4 values): 1 2 3 6" in out
-
-
-@contextmanager
-def int_str_digits(limit):
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
-def test_fp_listing_past_int_str_digit_limit(capsys, tmp_path):
-    terms = [7**3000, 7**3001 + 2, 3**5000]  # each below the limit, products past it
-    path = tmp_path / "big.txt"
-    path.write_text("\n".join(str(t) for t in terms) + "\n")
-    values = sorted(fp_oracle(terms))
-    assert values[-1] >= 10**4300
-    with int_str_digits(0):
-        expected = f"FP ({len(values)} values): {' '.join(str(v) for v in values)}\n"
-    with int_str_digits(4300):
-        code, out, _ = run(capsys, "fp", "--seq", f"file:{path}")
-        assert (code, out) == (0, expected)
-        code, out, _ = run(capsys, "fp", "--seq", "pow:10:100")
-        assert code == 0
-        assert out.startswith("FP (5050 values): 10 100 1000 ")
-        assert out.endswith(" 1" + "0" * 5050 + "\n")
-        assert sys.get_int_max_str_digits() == 4300  # the limit is back in force
 
 
 def test_search_found_exit_zero(capsys, tmp_path):
