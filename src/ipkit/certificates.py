@@ -141,6 +141,8 @@ def load_document(path) -> dict:
             doc = json.load(fh)
         except ValueError as exc:  # also undecodable bytes and over-long integers
             raise InputError(f"not a JSON document: {exc}") from None
+        except RecursionError:
+            raise InputError("not a JSON document: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     version = doc.get("format_version")
@@ -171,6 +173,13 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
+def _array(doc: dict, name: str) -> list:
+    value = _field(doc, name)
+    if not isinstance(value, list):
+        raise InputError(f"field {name!r} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def budget_from_document(doc: dict) -> tuple[SearchBudget, int]:
     """The recorded budget and node count; raises only if they are malformed."""
     raw = _field(doc, "budget")
@@ -196,18 +205,17 @@ def certificate_from_document(doc: dict) -> Certificate:
         raise InputError(
             f"document records outcome {doc.get('outcome')!r}, nothing to verify"
         )
-    x = tuple(_parse_decimal(v, "sequence value") for v in _field(doc, "x"))
-    raw_blocks = _field(doc, "blocks")
+    x = tuple(_parse_decimal(v, "sequence value") for v in _array(doc, "x"))
     blocks = []
-    for raw in raw_blocks:
+    for raw in _array(doc, "blocks"):
         if not isinstance(raw, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in raw
         ):
             raise InputError(f"block must be a list of integers, got {raw!r}")
         blocks.append(tuple(raw))
-    ys = tuple(_parse_decimal(v, "block sum") for v in _field(doc, "ys"))
-    fs = frozenset(_parse_decimal(v, "finite sum") for v in _field(doc, "fs"))
-    fp = frozenset(_parse_decimal(v, "finite product") for v in _field(doc, "fp"))
+    ys = tuple(_parse_decimal(v, "block sum") for v in _array(doc, "ys"))
+    fs = frozenset(_parse_decimal(v, "finite sum") for v in _array(doc, "fs"))
+    fp = frozenset(_parse_decimal(v, "finite product") for v in _array(doc, "fp"))
     spec_text = _field(doc, "spec")
     if not isinstance(spec_text, str):
         raise InputError(f"spec field must be a string, got {spec_text!r}")

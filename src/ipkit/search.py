@@ -14,11 +14,14 @@ that deliberately claims nothing.
 
 A good stage-m+1 candidate y must satisfy y in A, t+y in A for every t
 already in the finite-sum set, and s*y in A for every s in the finite-product
-set; that is exactly the stage constraint built by :func:`stage_constraint`,
-and it is exact, so pruning on it never changes which complete block systems
-are accepted.  :func:`brute_force_subsystem` re-derives the same answer with
-no pruning and no incremental state, and :func:`verify_certificate` rechecks
-a found certificate from scratch.
+set: the stage constraint.  It is exact, so pruning on it never changes
+which complete block systems are accepted.  The search keeps it as a flat
+tuple of tests, each compiled once: the target, then the shift and dilation
+preimages of just the sums and products each accepted term adds, in
+ascending order per stage.  :func:`stage_constraint` states the same set
+from scratch.  :func:`brute_force_subsystem` re-derives the answer with no
+pruning and no incremental state, and :func:`verify_certificate` rechecks a
+found certificate from scratch.
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .errors import InputError, RefusalError, StructuralError
 from .fsfp import (
-    EMPTY_STATE,
     FsFpState,
     _check_terms,
     check_block_order,
-    extend_state,
+    finite_products,
+    finite_sums,
 )
 from .setspec import (
     SetSpec,
@@ -140,34 +143,29 @@ def count_block_systems(window: int, max_block: int, depth: int) -> int:
     return sum(chains.values())
 
 
+def _preimages(target: SetSpec, sums, products) -> list[SetSpec]:
+    """Shift preimages of ``sums``, then dilation preimages of ``products``, each ascending."""
+    return [shift_preimage(target, t) for t in sorted(sums)] + [
+        dilation_preimage(target, s) for s in sorted(products)
+    ]
+
+
 def stage_constraint(state: FsFpState, target: SetSpec) -> SetSpec:
     """The set of admissible next terms given what is already committed.
 
     y satisfies the returned spec iff appending y to the state keeps every
-    finite sum and finite product inside ``target``.
+    finite sum and finite product inside ``target``.  Built from scratch; the
+    search accumulates the same preimages stage by stage.
     """
-    parts = [target]
-    parts.extend(shift_preimage(target, t) for t in sorted(state.fs))
-    parts.extend(dilation_preimage(target, s) for s in sorted(state.fp))
-    return intersect_all(parts)
+    return intersect_all([target, *_preimages(target, state.fs, state.fp)])
 
 
-def _extend_constraint(
-    constraint: SetSpec, state: FsFpState, y: int, target: SetSpec
-) -> tuple[FsFpState, SetSpec]:
-    """Accept y: extend the state and refine the constraint incrementally.
-
-    Only the sums and products that are genuinely new contribute preimage
-    terms; the result is extensionally equal to rebuilding
-    ``stage_constraint`` from the extended state.
-    """
-    new_state = extend_state(state, y)
-    new_sums = new_state.fs - state.fs
-    new_prods = new_state.fp - state.fp
-    parts = [constraint]
-    parts.extend(shift_preimage(target, t) for t in sorted(new_sums))
-    parts.extend(dilation_preimage(target, s) for s in sorted(new_prods))
-    return new_state, intersect_all(parts)
+def _accept(target: SetSpec, fs: frozenset, fp: frozenset, y: int) -> tuple:
+    """Append y: the grown FS and FP, and compiled tests for just the values y adds."""
+    new_sums = {y, *(t + y for t in fs)} - fs
+    new_prods = {y, *(s * y for s in fp)} - fp
+    tests = tuple(p.predicate() for p in _preimages(target, new_sums, new_prods))
+    return fs | new_sums, fp | new_prods, tests
 
 
 def _validated_window(x, budget: SearchBudget) -> tuple[int, ...]:
@@ -198,41 +196,41 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     limit_hit = False
     path: list[tuple[int, ...]] = []
 
-    def extend(stage: int, lo: int, state: FsFpState, constraint: SetSpec) -> bool:
+    def extend(stage: int, lo: int, fs: frozenset, fp: frozenset, tests: tuple) -> bool:
+        # tests: the compiled target, then the preimages each accepted term added
         nonlocal nodes, limit_hit
-        admissible = constraint.predicate()
         for block in iter_blocks(lo, budget.window, budget.max_block):
             if nodes >= budget.node_limit:
                 limit_hit = True
                 return False
             nodes += 1
             y = sum(terms[i - 1] for i in block)
-            if not admissible(y):
-                continue
-            path.append(block)
-            if stage == budget.depth:
-                return True
-            next_state, next_constraint = _extend_constraint(constraint, state, y, target)
-            if extend(stage + 1, block[-1] + 1, next_state, next_constraint):
-                return True
-            if limit_hit:
-                return False
-            path.pop()
+            # all() over tests, as a loop: a generator per node costs more than one test
+            for test in tests:
+                if not test(y):
+                    break
+            else:
+                path.append(block)
+                if stage == budget.depth:
+                    return True
+                next_fs, next_fp, added = _accept(target, fs, fp, y)
+                if extend(stage + 1, block[-1] + 1, next_fs, next_fp, tests + added):
+                    return True
+                if limit_hit:
+                    return False
+                path.pop()
         return False
 
-    found = extend(1, 1, EMPTY_STATE, target)
+    found = extend(1, 1, frozenset(), frozenset(), (target.predicate(),))
     if found:
         blocks = tuple(path)
         ys = tuple(sum(terms[i - 1] for i in block) for block in blocks)
-        final = EMPTY_STATE
-        for y in ys:
-            final = extend_state(final, y)
         cert = Certificate(
             x=terms[: blocks[-1][-1]],
             blocks=blocks,
             ys=ys,
-            fs=final.fs,
-            fp=final.fp,
+            fs=finite_sums(ys),
+            fp=finite_products(ys),
             spec_text=spec_text,
         )
         failure = verification_failure(cert) or budget_failure(cert, budget, nodes)
@@ -242,6 +240,17 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     if limit_hit:
         return SearchOutcome(OutcomeKind.NODE_LIMIT, None, nodes)
     return SearchOutcome(OutcomeKind.EXHAUSTED, None, nodes)
+
+
+def _subset_sums_and_products(ys) -> tuple[set[int], set[int]]:
+    """FS and FP of ``ys`` over every non-empty index subset; independent of :mod:`fsfp`."""
+    fs: set[int] = set()
+    fp: set[int] = set()
+    for r in range(1, len(ys) + 1):
+        for combo in combinations(ys, r):
+            fs.add(sum(combo))
+            fp.add(prod(combo))
+    return fs, fp
 
 
 def brute_force_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
@@ -263,17 +272,7 @@ def brute_force_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOut
     for system in iter_block_systems(budget.window, budget.max_block, budget.depth):
         tested += 1
         ys = tuple(sum(terms[i - 1] for i in block) for block in system)
-        fs: set[int] = set()
-        for r in range(1, len(ys) + 1):
-            for combo in combinations(ys, r):
-                fs.add(sum(combo))
-        fp: set[int] = set()
-        for r in range(1, len(ys) + 1):
-            for combo in combinations(ys, r):
-                prod = 1
-                for v in combo:
-                    prod *= v
-                fp.add(prod)
+        fs, fp = _subset_sums_and_products(ys)
         if all(target.contains(v) for v in sorted(fs | fp)):
             cert = Certificate(
                 x=terms[: system[-1][-1]],
@@ -311,15 +310,7 @@ def verification_failure(cert: Certificate) -> str | None:
     ys = tuple(sum(cert.x[i - 1] for i in block) for block in blocks)
     if ys != tuple(cert.ys):
         return f"recomputed block sums {ys} != recorded {tuple(cert.ys)}"
-    fs: set[int] = set()
-    fp: set[int] = set()
-    for r in range(1, len(ys) + 1):
-        for combo in combinations(ys, r):
-            fs.add(sum(combo))
-            prod = 1
-            for v in combo:
-                prod *= v
-            fp.add(prod)
+    fs, fp = _subset_sums_and_products(ys)
     if frozenset(fs) != cert.fs:
         return "recorded finite-sum set does not match recomputation"
     if frozenset(fp) != cert.fp:

@@ -355,12 +355,15 @@ def transformation_semigroup(maps) -> FiniteSemigroup:
     for m in gens:
         if len(m) != k or any(not 0 <= v < k for v in m):
             raise InputError(f"map {m!r} is not a self-map of 0..{k - 1}")
-    elems = _compose_closure(gens)
+    return _composition_table(_compose_closure(gens))
+
+
+def _composition_table(elems: list[tuple[int, ...]]) -> FiniteSemigroup:
+    """Cayley table of a composition-closed, sorted list of self-maps."""
     index = {m: i for i, m in enumerate(elems)}
-    table = tuple(
-        tuple(index[tuple(f[x] for x in g)] for g in elems) for f in elems
+    return FiniteSemigroup(
+        tuple(tuple(index[tuple(f[x] for x in g)] for g in elems) for f in elems)
     )
-    return FiniteSemigroup(table)
 
 
 def sampled_transformation_semigroups(
@@ -387,7 +390,7 @@ def sampled_transformation_semigroups(
         order = len(elems)
         if wanted.get(order, 0) <= 0:
             continue
-        sg = transformation_semigroup(gens)
+        sg = _composition_table(elems)
         if sg.table in seen_tables:
             continue
         seen_tables.add(sg.table)

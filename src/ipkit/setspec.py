@@ -256,11 +256,6 @@ EMPTY = Empty()
 FULL = Full()
 
 
-def contains(spec: SetSpec, value: int) -> bool:
-    """Function form of :meth:`SetSpec.contains`."""
-    return spec.contains(value)
-
-
 def intersect_all(specs) -> SetSpec:
     """Intersection of any number of specs (0 -> all, 1 -> the spec itself)."""
     specs = tuple(specs)
@@ -269,15 +264,6 @@ def intersect_all(specs) -> SetSpec:
     if len(specs) == 1:
         return specs[0]
     return Intersection(specs)
-
-
-def union_all(specs) -> SetSpec:
-    specs = tuple(specs)
-    if not specs:
-        return EMPTY
-    if len(specs) == 1:
-        return specs[0]
-    return Union(specs)
 
 
 def dilation_preimage(spec: SetSpec, factor: int) -> SetSpec:
@@ -360,6 +346,11 @@ def render_spec(spec: SetSpec) -> str:
     raise InputError(f"cannot render {type(spec).__name__}")
 
 
+# parse_spec refuses deeper nesting: compiled predicates add frames per level,
+# and this keeps them far below the interpreter's recursion limit
+MAX_SPEC_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -400,7 +391,9 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def spec(self) -> SetSpec:
+    def spec(self, depth: int = 1) -> SetSpec:
+        if depth > MAX_SPEC_DEPTH:
+            self.fail(f"spec nests deeper than {MAX_SPEC_DEPTH} levels")
         word = self.word()
         if word == "all":
             return FULL
@@ -436,15 +429,15 @@ class _Parser:
             return Bitmap(frozenset(values), bound)
         if word == "not":
             self.expect("(")
-            child = self.spec()
+            child = self.spec(depth + 1)
             self.expect(")")
             return Complement(child)
         if word in ("and", "or"):
             self.expect("(")
-            children = [self.spec()]
+            children = [self.spec(depth + 1)]
             while self.peek() == ",":
                 self.expect(",")
-                children.append(self.spec())
+                children.append(self.spec(depth + 1))
             self.expect(")")
             if len(children) < 2:
                 self.fail(f"{word}(...) needs at least two arguments")
@@ -453,14 +446,14 @@ class _Parser:
             self.expect("(")
             n = self.integer()
             self.expect(",")
-            child = self.spec()
+            child = self.spec(depth + 1)
             self.expect(")")
             return DilationPreimage(n, child)
         if word == "shift":
             self.expect("(")
             t = self.integer()
             self.expect(",")
-            child = self.spec()
+            child = self.spec(depth + 1)
             self.expect(")")
             return ShiftPreimage(t, child)
         self.fail(f"unknown keyword {word!r}")

@@ -117,6 +117,9 @@ def test_load_document_errors(tmp_path):
     bad.write_text('{"format_version": 99}')
     with pytest.raises(InputError, match="format_version"):
         load_document(bad)
+    bad.write_text('{"format_version": 1, "x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(InputError, match="nested too deeply"):
+        load_document(bad)
 
 
 def test_certificate_from_document_errors():
@@ -138,6 +141,9 @@ def test_certificate_from_document_errors():
         certificate_from_document({**doc, "blocks": [[1, 2, 3], "6"]})
     with pytest.raises(InputError, match="spec field"):
         certificate_from_document({**doc, "spec": 6})
+    for field, value in (("x", 7), ("blocks", 5), ("fs", 3), ("x", "123"), ("ys", {"0": "6"})):
+        with pytest.raises(InputError, match=f"field '{field}' must be a JSON array"):
+            certificate_from_document({**doc, field: value})
 
 
 def test_budget_from_document():

@@ -1,10 +1,14 @@
 """CLI subcommands, exit codes, and document output, driven through main(argv)."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipkit.certificates import comparable_form, load_document
 from ipkit.cli import main, parse_sequence_source
@@ -157,6 +161,76 @@ def test_verify_missing_file_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--cert", str(tmp_path / "absent.json"))
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_hostile_documents_exit_two(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    run(capsys, "search", "--seq", "nat:32", "--spec", "mod(6,0)", "--depth", "2",
+        "--json", str(path))
+    doc = json.loads(path.read_text())
+    deep_spec = "not(" * 1000 + "mod(6,0)" + ")" * 1000
+    for field, value in (("x", 7), ("blocks", 5), ("fs", 3), ("x", "123"), ("spec", deep_spec)):
+        path.write_text(json.dumps({**doc, field: value}))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert (code, out, err.startswith("error:")) == (2, "", True), field
+    for field in ("x", "spec", "budget"):
+        text = json.dumps({**doc, field: "@"}).replace('"@"', "[" * 100_000 + "]" * 100_000)
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert (code, out, err.startswith("error:")) == (2, "", True), field
+
+
+def test_deeply_nested_spec_exit_two(capsys):
+    deep = "not(" * 1000 + "mod(6,0)" + ")" * 1000
+    for argv in (
+        ("dilate", "--spec", deep, "--n", "2"),
+        ("search", "--seq", "nat:8", "--spec", deep, "--depth", "1"),
+        ("refute", "--spec", deep, "--depth", "2", "--bound", "10"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "deeper than 100 levels" in err, argv[0]
+
+
+SEARCH_FIELDS = ("blocks", "budget", "created_at", "format_version", "fp", "fs", "kind",
+                 "nodes", "outcome", "spec", "verified", "x", "ys")
+DROP = object()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def found_document(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["search", "--seq", "nat:32", "--spec", "mod(6,0)", "--depth", "2",
+                     "--json", str(path)]) == 0
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(SEARCH_FIELDS),
+    value=st.one_of(
+        st.integers(), st.text(), st.none(), st.booleans(), st.just(DROP),
+        st.lists(json_values, max_size=4),
+        st.dictionaries(st.text(max_size=6), json_values, max_size=3),
+    ),
+)
+def test_verify_fuzzed_documents_keep_the_exit_contract(found_document, field, value):
+    path, doc = found_document
+    assert sorted(doc) == list(SEARCH_FIELDS)
+    mutated = {k: v for k, v in doc.items() if k != field}
+    if value is not DROP:
+        mutated[field] = value
+    path.write_text(json.dumps(mutated))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--cert", str(path)])
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error:")
 
 
 def test_refute_found_and_absent(capsys, tmp_path):

@@ -7,13 +7,12 @@ import pytest
 
 from conftest import fp_oracle, fs_oracle, random_spec
 from ipkit.errors import DomainBoundError, InputError, RefusalError, StructuralError
-from ipkit.fsfp import state_of
+from ipkit.fsfp import EMPTY_STATE, finite_products, finite_sums, state_of
 from ipkit.search import (
-    EMPTY_STATE,
     Certificate,
     OutcomeKind,
     SearchBudget,
-    _extend_constraint,
+    _accept,
     brute_force_subsystem,
     budget_failure,
     count_block_systems,
@@ -24,7 +23,13 @@ from ipkit.search import (
     verification_failure,
     verify_certificate,
 )
-from ipkit.setspec import Bitmap, Congruence, Intersection, parse_spec
+from ipkit.setspec import (
+    Bitmap,
+    Congruence,
+    DilationPreimage,
+    ShiftPreimage,
+    parse_spec,
+)
 
 NAT32 = tuple(range(1, 33))
 MOD6 = Congruence(6, 0)
@@ -163,17 +168,47 @@ def test_stage_constraint_is_exact():
 
 
 def test_incremental_constraint_matches_from_scratch():
+    """The tests the search accumulates stage by stage agree with stage_constraint."""
     rng = random.Random(17)
     for _ in range(30):
         target = random_spec(rng)
-        state = EMPTY_STATE
-        constraint = target
+        fs, fp, tests = frozenset(), frozenset(), (target.predicate(),)
+        ys = ()
         for _ in range(3):
             y = rng.randint(1, 15)
-            state, constraint = _extend_constraint(constraint, state, y, target)
-            rebuilt = stage_constraint(state, target)
+            fs, fp, added = _accept(target, fs, fp, y)
+            tests += added
+            ys += (y,)
+            assert (fs, fp) == (finite_sums(ys), finite_products(ys))
+            rebuilt = stage_constraint(state_of(ys), target)
             for v in range(1, 300):
-                assert constraint.contains(v) == rebuilt.contains(v), (state.ys, v)
+                assert all(test(v) for test in tests) == rebuilt.contains(v), (ys, v)
+
+
+def test_search_compiles_each_preimage_once(monkeypatch):
+    counts = {"built": 0, "compiled": 0}
+
+    def counted(cls):
+        post_init, predicate = cls.__post_init__, cls.predicate
+
+        def counted_post_init(self):
+            counts["built"] += 1
+            post_init(self)
+
+        def counted_predicate(self):
+            counts["compiled"] += 1
+            return predicate(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted_post_init)
+        monkeypatch.setattr(cls, "predicate", counted_predicate)
+
+    counted(ShiftPreimage)
+    counted(DilationPreimage)
+    target = parse_spec("and(mod(6,0),geq(3))")
+    out = search_subsystem(tuple(range(1, 200)), target, SearchBudget(depth=8, window=150))
+    assert out.kind is OutcomeKind.FOUND
+    assert counts["built"] > 0
+    assert counts["compiled"] == counts["built"]
 
 
 def test_determinism():

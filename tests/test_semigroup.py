@@ -1,11 +1,13 @@
 """Cayley tables: validation, idempotents, ideals, kernel, order, product formula."""
 
+import hashlib
 import random
 from itertools import combinations, product
 
 import pytest
 
 from conftest import ideals_oracle
+from ipkit import semigroup
 from ipkit.errors import AssociativityError, InputError, RefusalError
 from ipkit.semigroup import (
     FiniteSemigroup,
@@ -359,6 +361,22 @@ def test_sampled_transformation_semigroups_deterministic():
     orders = sorted(sg.order for sg in a)
     assert set(orders) <= {4, 5, 6}
     assert len(a) == 9  # three per order with this seed
+
+
+def test_sampled_transformation_semigroups_close_each_generator_set_once(monkeypatch):
+    closed = []
+
+    def recording(maps, _real=_compose_closure):
+        closed.append(maps)
+        return _real(maps)
+
+    monkeypatch.setattr(semigroup, "_compose_closure", recording)
+    sampled = sampled_transformation_semigroups(seed=2026)
+    # closing a kept generator set a second time would record it twice in a row
+    assert all(a != b for a, b in zip(closed, closed[1:]))
+    # the tables, in order, that closing each kept generator set twice produced
+    digest = hashlib.sha256(repr([sg.table for sg in sampled]).encode()).hexdigest()
+    assert digest == "fb9a2deabf9bf07766f86cccefd0143b4f354c6668d95cf7790aa9542aecfb86"
 
 
 def test_frozen_semigroup_is_hashable():

@@ -9,6 +9,7 @@ from ipkit.errors import DomainBoundError, InputError, SpecSyntaxError
 from ipkit.setspec import (
     EMPTY,
     FULL,
+    MAX_SPEC_DEPTH,
     Bitmap,
     Complement,
     Congruence,
@@ -22,7 +23,6 @@ from ipkit.setspec import (
     parse_spec,
     render_spec,
     shift_preimage,
-    union_all,
 )
 
 
@@ -114,10 +114,20 @@ def test_union_short_circuit():
 def test_intersect_all_union_all_edge_counts():
     spec = Congruence(3, 1)
     assert intersect_all(()) is FULL
-    assert union_all(()) is EMPTY
     assert intersect_all((spec,)) is spec
-    assert union_all((spec,)) is spec
     assert isinstance(intersect_all((spec, spec)), Intersection)
+
+
+def test_parse_refuses_deep_nesting():
+    deepest = "not(" * (MAX_SPEC_DEPTH - 1) + "mod(6,0)" + ")" * (MAX_SPEC_DEPTH - 1)
+    assert render_spec(parse_spec(deepest)) == deepest
+    for text in (
+        "not(" + deepest + ")",
+        "and(all," * 1000 + "all" + ")" * 1000,
+        "dil(2," * 5000 + "mod(6,0)" + ")" * 5000,
+    ):
+        with pytest.raises(SpecSyntaxError, match=f"deeper than {MAX_SPEC_DEPTH} levels"):
+            parse_spec(text)
 
 
 def test_dilation_preimage_congruence_closed_form():
