@@ -19,9 +19,11 @@ indent, trailing newline.  The only non-reproducible field is ``created_at``;
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
-from .errors import InputError
+from .errors import InputError, shown
 from .partition import FsWitness
 from .search import Certificate, SearchBudget, SearchOutcome
 
@@ -36,12 +38,28 @@ KIND_SEMIGROUP = "semigroup-report"
 _KNOWN_KINDS = (KIND_SEARCH, KIND_WITNESS, KIND_REFUTATION, KIND_HINDMAN, KIND_SEMIGROUP)
 
 
+@contextmanager
+def digit_limit_lifted():
+    """Convert ints of any size to decimal inside; Python's int->str digit limit is restored after.
+
+    Only writers lift it.  Readers keep it: it guards parsing against
+    quadratic time on hostile documents.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _decimals(values) -> list[str]:
-    return [str(v) for v in values]
+    with digit_limit_lifted():
+        return [str(v) for v in values]
 
 
 def _sorted_decimals(values) -> list[str]:
-    return [str(v) for v in sorted(values)]
+    return _decimals(sorted(values))
 
 
 def make_document(kind: str, payload: dict) -> dict:
@@ -147,7 +165,7 @@ def load_document(path) -> dict:
         raise InputError("document must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise InputError(f"unsupported format_version {version!r}")
+        raise InputError(f"unsupported format_version {shown(version)}")
     return doc
 
 
@@ -164,7 +182,7 @@ def _parse_decimal(value, what: str) -> int:
             return int(value)
         except ValueError:
             pass
-    raise InputError(f"{what} must be a canonical decimal string, got {value!r}")
+    raise InputError(f"{what} must be a canonical decimal string, got {shown(value)}")
 
 
 def _field(doc: dict, name: str):
@@ -185,10 +203,10 @@ def budget_from_document(doc: dict) -> tuple[SearchBudget, int]:
     raw = _field(doc, "budget")
     fields = ("depth", "window", "max_block", "node_limit")
     if not isinstance(raw, dict) or sorted(raw) != sorted(fields):
-        raise InputError(f"budget must be an object with fields {', '.join(fields)}, got {raw!r}")
+        raise InputError(f"budget must be an object with fields {', '.join(fields)}, got {shown(raw)}")
     nodes = _field(doc, "nodes")
     if not isinstance(nodes, int) or isinstance(nodes, bool):
-        raise InputError(f"nodes must be an integer, got {nodes!r}")
+        raise InputError(f"nodes must be an integer, got {shown(nodes)}")
     return SearchBudget(**raw), nodes
 
 
@@ -200,10 +218,10 @@ def certificate_from_document(doc: dict) -> Certificate:
     """
     kind = doc.get("kind")
     if kind != KIND_SEARCH:
-        raise InputError(f"expected a {KIND_SEARCH} document, got kind {kind!r}")
+        raise InputError(f"expected a {KIND_SEARCH} document, got kind {shown(kind)}")
     if doc.get("outcome") != "found":
         raise InputError(
-            f"document records outcome {doc.get('outcome')!r}, nothing to verify"
+            f"document records outcome {shown(doc.get('outcome'))}, nothing to verify"
         )
     x = tuple(_parse_decimal(v, "sequence value") for v in _array(doc, "x"))
     blocks = []
@@ -211,14 +229,14 @@ def certificate_from_document(doc: dict) -> Certificate:
         if not isinstance(raw, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in raw
         ):
-            raise InputError(f"block must be a list of integers, got {raw!r}")
+            raise InputError(f"block must be a list of integers, got {shown(raw)}")
         blocks.append(tuple(raw))
     ys = tuple(_parse_decimal(v, "block sum") for v in _array(doc, "ys"))
     fs = frozenset(_parse_decimal(v, "finite sum") for v in _array(doc, "fs"))
     fp = frozenset(_parse_decimal(v, "finite product") for v in _array(doc, "fp"))
     spec_text = _field(doc, "spec")
     if not isinstance(spec_text, str):
-        raise InputError(f"spec field must be a string, got {spec_text!r}")
+        raise InputError(f"spec field must be a string, got {shown(spec_text)}")
     return Certificate(
         x=x, blocks=tuple(blocks), ys=ys, fs=fs, fp=fp, spec_text=spec_text
     )

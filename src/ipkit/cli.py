@@ -18,6 +18,7 @@ from .certificates import (
     KIND_SEMIGROUP,
     budget_from_document,
     certificate_from_document,
+    digit_limit_lifted,
     hindman_document,
     load_document,
     make_document,
@@ -142,10 +143,13 @@ def _cmd_search(args) -> int:
     print(f"nodes: {outcome.nodes}")
     cert = outcome.certificate
     if cert is not None:
-        for i, (block, y) in enumerate(zip(cert.blocks, cert.ys), start=1):
-            indices = ",".join(str(j) for j in block)
-            print(f"H{i} = {{{indices}}}  y{i} = {y}")
-        _print_values("FS u FP", cert.fs | cert.fp)
+        # values past the int->str digit limit print exactly here; the fs and
+        # fp subcommands keep the limit
+        with digit_limit_lifted():
+            for i, (block, y) in enumerate(zip(cert.blocks, cert.ys), start=1):
+                indices = ",".join(str(j) for j in block)
+                print(f"H{i} = {{{indices}}}  y{i} = {y}")
+            _print_values("FS u FP", cert.fs | cert.fp)
         print("verified: true")
     elif outcome.kind is OutcomeKind.EXHAUSTED:
         print("no block system within the budget satisfies the spec")

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show values."""
+
+import reprlib
+
+# error messages echo at most this many characters of an offending value
+SHOWN_CHARS = 80
+
+
+def shown(value) -> str:
+    """A short repr of ``value`` for an error message; a hostile value is never echoed whole."""
+    text = reprlib.repr(value)
+    return text if len(text) <= SHOWN_CHARS else text[: SHOWN_CHARS - 3] + "..."
 
 
 class InputError(ValueError):

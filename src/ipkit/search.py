@@ -16,22 +16,43 @@ A good stage-m+1 candidate y must satisfy y in A, t+y in A for every t
 already in the finite-sum set, and s*y in A for every s in the finite-product
 set: the stage constraint.  It is exact, so pruning on it never changes
 which complete block systems are accepted.  The search keeps it as a flat
-tuple of tests, each compiled once: the target, then the shift and dilation
-preimages of just the sums and products each accepted term adds, in
-ascending order per stage.  :func:`stage_constraint` states the same set
-from scratch.  :func:`brute_force_subsystem` re-derives the answer with no
-pruning and no incremental state, and :func:`verify_certificate` rechecks a
-found certificate from scratch.
+tuple of tests, each made once: the compiled target, then tests for just the
+sums and products each accepted term adds, in ascending order per stage.
+
+* When the target holds a ``bits`` node, those tests are the compiled shift
+  and dilation preimages.  This keeps the first query that raises
+  :class:`~ipkit.errors.DomainBoundError`.
+* Otherwise the target has an :func:`~ipkit.setspec.eventual_period` (T, L),
+  and every stage constraint repeats with period L past T.  The tests query
+  the compiled target itself, and a stage's members in the period window
+  [1..T+L] may be listed, filtered from its nearest listed ancestor's.  A
+  listed stage costs one lookup per candidate, at its representative in
+  [T+1..T+L] when the candidate is larger.  An empty one is not scanned: its
+  remaining candidates are counted in closed form, clamped at the node limit
+  exactly as the scan would stop.  A stage is listed only once the nodes
+  counted so far pay for the target queries listing costs, so all listings
+  together spend at most nodes + ``LISTING_ALLOWANCE`` queries.  A lookup
+  stands in for a prefix of the tests, so this form never makes more than
+  nodes + ``LISTING_ALLOWANCE`` target queries (one per test run) beyond
+  what the unlisted tuple would.  It gains when the search tests many more
+  nodes than T+L: exhausting and node-limited searches over small periods.
+
+Both forms give the same node counts, outcomes and certificates.
+:func:`stage_constraint` states the constraint from scratch.
+:func:`brute_force_subsystem` re-derives the answer with no pruning and no
+incremental state, and :func:`verify_certificate` rechecks a found
+certificate from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from itertools import combinations
 from math import comb, prod
 
-from .errors import InputError, RefusalError, StructuralError
+from .errors import InputError, RefusalError, StructuralError, shown
 from .fsfp import (
     FsFpState,
     _check_terms,
@@ -42,6 +63,7 @@ from .fsfp import (
 from .setspec import (
     SetSpec,
     dilation_preimage,
+    eventual_period,
     intersect_all,
     parse_spec,
     render_spec,
@@ -53,6 +75,10 @@ DEFAULT_NODE_LIMIT = 1_000_000
 
 # brute_force_subsystem refuses above this many enumerable block systems
 BRUTE_FORCE_CAP = 10_000_000
+
+# target queries the period window may spend on listing members ahead of the
+# nodes counted so far; past it, listing is paid for by counted nodes alone
+LISTING_ALLOWANCE = 1024
 
 # verify_certificate enumerates 2^depth subsets; cap keeps hostile documents cheap
 VERIFY_DEPTH_CAP = 22
@@ -71,7 +97,7 @@ class SearchBudget:
         for name in ("depth", "window", "max_block", "node_limit"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InputError(f"budget field {name} must be an integer >= 1, got {value!r}")
+                raise InputError(f"budget field {name} must be an integer >= 1, got {shown(value)}")
 
 
 class OutcomeKind(Enum):
@@ -160,12 +186,77 @@ def stage_constraint(state: FsFpState, target: SetSpec) -> SetSpec:
     return intersect_all([target, *_preimages(target, state.fs, state.fp)])
 
 
+def _new_values(fs: frozenset, fp: frozenset, y: int) -> tuple[set, set]:
+    """The sums and products that appending y adds to FS and FP."""
+    return {y, *(t + y for t in fs)} - fs, {y, *(s * y for s in fp)} - fp
+
+
 def _accept(target: SetSpec, fs: frozenset, fp: frozenset, y: int) -> tuple:
     """Append y: the grown FS and FP, and compiled tests for just the values y adds."""
-    new_sums = {y, *(t + y for t in fs)} - fs
-    new_prods = {y, *(s * y for s in fp)} - fp
+    new_sums, new_prods = _new_values(fs, fp, y)
     tests = tuple(p.predicate() for p in _preimages(target, new_sums, new_prods))
     return fs | new_sums, fp | new_prods, tests
+
+
+def _shifted(test, t: int):
+    return lambda v: test(v + t)
+
+
+def _dilated(test, s: int):
+    return lambda v: test(s * v)
+
+
+def _accept_direct(test, fs: frozenset, fp: frozenset, y: int) -> tuple:
+    """As :func:`_accept`, with tests that query the compiled target itself."""
+    new_sums, new_prods = _new_values(fs, fp, y)
+    tests = tuple(_shifted(test, t) for t in sorted(new_sums)) + tuple(
+        _dilated(test, s) for s in sorted(new_prods)
+    )
+    return fs | new_sums, fp | new_prods, tests
+
+
+class _Stage:
+    """A stage constraint: its parent's, narrowed by the tests its accepted term added.
+
+    ``members`` is None until the constraint's members in the period window
+    [1..T+L] are listed.
+    """
+
+    __slots__ = ("parent", "tests", "members")
+
+    def __init__(self, parent: _Stage | None, tests: tuple):
+        self.parent, self.tests, self.members = parent, tests, None
+
+
+def _listing_cost(stage: _Stage | None, top: int) -> tuple[int, int]:
+    """At most how many target queries listing ``stage``'s members in [1..top]
+    costs, and at most how many members it has there."""
+    if stage is None:
+        return 0, top
+    if stage.members is not None:
+        return 0, len(stage.members)
+    cost, pool = _listing_cost(stage.parent, top)
+    return cost + pool * len(stage.tests), pool
+
+
+def _listed(stage: _Stage, top: int) -> frozenset:
+    """``stage``'s members in [1..top], filtered from its nearest listed ancestor's and kept."""
+    if stage.members is None:
+        pool = range(1, top + 1) if stage.parent is None else _listed(stage.parent, top)
+        members = []
+        for v in pool:
+            for test in stage.tests:
+                if not test(v):
+                    break
+            else:
+                members.append(v)
+        stage.members = frozenset(members)
+    return stage.members
+
+
+def _block_count(n: int, max_block: int) -> int:
+    """How many blocks :func:`iter_blocks` yields over ``n`` consecutive indices."""
+    return sum(comb(n, k) for k in range(1, max_block + 1))
 
 
 def _validated_window(x, budget: SearchBudget) -> tuple[int, ...]:
@@ -194,15 +285,68 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     spec_text = render_spec(target)
     nodes = 0
     limit_hit = False
+    # target queries spent on listing window members, kept at most
+    # nodes + LISTING_ALLOWANCE
+    spent = 0
     path: list[tuple[int, ...]] = []
+    test = target.predicate()
+    period = eventual_period(target)
+    if period is None:
+        accept = partial(_accept, target)
+        top = None
+    else:
+        accept = partial(_accept_direct, test)
+        first, size = period[0] + 1, period[1]
+        top = first + size - 1
 
-    def extend(stage: int, lo: int, fs: frozenset, fp: frozenset, tests: tuple) -> bool:
-        # tests: the compiled target, then the preimages each accepted term added
+        def lookup(members: frozenset):
+            # every stage constraint repeats with period L past T, so y > T+L
+            # is looked up at its representative in [T+1..T+L]
+            return lambda y: (y if y <= top else first + (y - first) % size) in members
+
+    def due(constraint: _Stage) -> int:
+        """The node count from which listing the constraint's window members is paid for."""
+        if top is None:
+            return budget.node_limit
+        cost = _listing_cost(constraint, top)[0]
+        return min(budget.node_limit, spent + cost - LISTING_ALLOWANCE)
+
+    def list_members(constraint: _Stage, lo: int, tested: int) -> tuple | None:
+        """Tests that look up the constraint's listed window members; None
+        once an empty stage's remaining candidates are counted as the loop
+        would test them."""
+        nonlocal nodes, limit_hit, spent
+        spent += _listing_cost(constraint, top)[0]
+        if _listed(constraint, top):
+            return (lookup(constraint.members),)
+        rest = _block_count(budget.window - lo + 1, budget.max_block) - tested
+        if nodes + rest <= budget.node_limit:
+            nodes += rest
+        else:
+            nodes, limit_hit = budget.node_limit, True
+        return None
+
+    def extend(
+        stage: int, lo: int, fs: frozenset, fp: frozenset, constraint: _Stage, tests: tuple
+    ) -> bool:
+        # tests: a lookup in the nearest listed members, if any, then the
+        # tests added below them, starting from the compiled target
         nonlocal nodes, limit_hit
-        for block in iter_blocks(lo, budget.window, budget.max_block):
-            if nodes >= budget.node_limit:
-                limit_hit = True
+        # nodes - base: the candidates this visit has tested
+        base = nodes
+        stop = due(constraint)
+        if stop <= nodes < budget.node_limit:
+            tests, stop = list_members(constraint, lo, 0), budget.node_limit
+            if tests is None:
                 return False
+        for block in iter_blocks(lo, budget.window, budget.max_block):
+            if nodes >= stop:
+                if nodes >= budget.node_limit:
+                    limit_hit = True
+                    return False
+                tests, stop = list_members(constraint, lo, nodes - base), budget.node_limit
+                if tests is None:
+                    return False
             nodes += 1
             y = sum(terms[i - 1] for i in block)
             # all() over tests, as a loop: a generator per node costs more than one test
@@ -213,15 +357,26 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
                 path.append(block)
                 if stage == budget.depth:
                     return True
-                next_fs, next_fp, added = _accept(target, fs, fp, y)
-                if extend(stage + 1, block[-1] + 1, next_fs, next_fp, tests + added):
+                before = nodes
+                next_fs, next_fp, added = accept(fs, fp, y)
+                child = _Stage(constraint, added)
+                if extend(stage + 1, block[-1] + 1, next_fs, next_fp, child, tests + added):
                     return True
                 if limit_hit:
                     return False
                 path.pop()
+                base += nodes - before
+                # stop is the node limit once this visit has listed the
+                # stage, or when no listing in the subtree could be paid for
+                if stop < budget.node_limit:
+                    if constraint.members is None:
+                        stop = due(constraint)
+                    else:
+                        # listed by the subtree
+                        tests, stop = (lookup(constraint.members),), budget.node_limit
         return False
 
-    found = extend(1, 1, frozenset(), frozenset(), (target.predicate(),))
+    found = extend(1, 1, frozenset(), frozenset(), _Stage(None, (test,)), (test,))
     if found:
         blocks = tuple(path)
         ys = tuple(sum(terms[i - 1] for i in block) for block in blocks)

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainBoundError, InputError, SpecSyntaxError
+from .errors import DomainBoundError, InputError, SpecSyntaxError, shown
 
 
 class SetSpec:
@@ -318,6 +318,31 @@ def shift_preimage(spec: SetSpec, offset: int) -> SetSpec:
     return ShiftPreimage(offset, spec)
 
 
+def eventual_period(spec: SetSpec) -> tuple[int, int] | None:
+    """A pair (T, L) with v in spec <=> v+L in spec for every v > T.
+
+    Congruences and intervals under boolean operations, shifts and dilations
+    are ultimately periodic (the semilinear sets of Ginsburg and Spanier).
+    A shift or dilation preimage keeps its child's pair, since t+v > T and
+    n*v > T whenever v > T; so does every preimage of ``spec``.  Returns
+    None exactly when a ``bits`` node occurs.
+    """
+    if isinstance(spec, Congruence):
+        return 0, spec.modulus
+    if isinstance(spec, Interval):
+        return (spec.lo if spec.hi is None else spec.hi), 1
+    if isinstance(spec, (Complement, DilationPreimage, ShiftPreimage)):
+        return eventual_period(spec.child)
+    if isinstance(spec, (Intersection, Union)):
+        pairs = [eventual_period(c) for c in spec.children]
+        if None in pairs:
+            return None
+        return max(t for t, _ in pairs), math.lcm(*(period for _, period in pairs))
+    if isinstance(spec, (Empty, Full)):
+        return 0, 1
+    return None
+
+
 def render_spec(spec: SetSpec) -> str:
     """Render a spec in the concrete syntax; ``parse_spec`` inverts this."""
     if isinstance(spec, Congruence):
@@ -456,7 +481,7 @@ class _Parser:
             child = self.spec(depth + 1)
             self.expect(")")
             return ShiftPreimage(t, child)
-        self.fail(f"unknown keyword {word!r}")
+        self.fail(f"unknown keyword {shown(word)}")
 
 
 def parse_spec(text: str) -> SetSpec:

@@ -1,6 +1,7 @@
 """Certificate documents: serialization, round trips, tamper detection."""
 
 import json
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from ipkit.certificates import (
     budget_from_document,
     certificate_from_document,
     comparable_form,
+    digit_limit_lifted,
     dumps_document,
     hindman_document,
     load_document,
@@ -21,7 +23,7 @@ from ipkit.certificates import (
     witness_document,
     write_document,
 )
-from ipkit.errors import InputError
+from ipkit.errors import SHOWN_CHARS, InputError, shown
 from ipkit.partition import FsWitness
 from ipkit.search import (
     OutcomeKind,
@@ -209,3 +211,21 @@ def test_hindman_document_shapes():
 def test_make_document_rejects_unknown_kind():
     with pytest.raises(InputError, match="unknown document kind"):
         make_document("mystery", {})
+
+
+def test_digit_limit_lifted_only_inside():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(RuntimeError):
+        with digit_limit_lifted():
+            assert len(str(10**limit)) == limit + 1
+            raise RuntimeError
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_shown_cuts_hostile_values():
+    assert shown("007") == "'007'" and shown(7) == "7" and shown(None) == "None"
+    deep = []
+    for _ in range(1000):
+        deep = [deep]
+    for value in (deep, "z" * 100_000, {str(i): list(range(50)) for i in range(50)}):
+        assert len(shown(value)) <= SHOWN_CHARS

@@ -178,6 +178,38 @@ def test_verify_hostile_documents_exit_two(capsys, tmp_path):
         path.write_text(text)
         code, out, err = run(capsys, "verify", "--cert", str(path))
         assert (code, out, err.startswith("error:")) == (2, "", True), field
+    # a 1,000-deep array or a 100,000-character string is never echoed whole
+    hostile = ("[" * 1000 + "]" * 1000, json.dumps("z" * 100_000))
+    fields = [(f, None) for f in sorted(set(doc) - {"created_at", "verified"})]
+    for where, value in fields + [("budget", f) for f in sorted(doc["budget"])]:
+        for text in hostile:
+            hostile_doc = {**doc, where: "@"} if value is None else {
+                **doc, where: {**doc[where], value: "@"}}
+            path.write_text(json.dumps(hostile_doc).replace('"@"', text))
+            code, out, err = run(capsys, "verify", "--cert", str(path))
+            assert (code, out) == (2, ""), (where, value)
+            assert err.startswith("error:") and err.count("\n") == 1, (where, value)
+            assert len(err) < 200, (where, value, err[:300])
+
+
+def test_search_output_past_int_str_digit_limit(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "cert.json"
+    code, out, err = run(capsys, "search", "--seq", "pow:10:4301", "--spec", f"geq({'9' * 4300})",
+                         "--depth", "1", "--max-block", "1", "--json", str(path))
+    assert (code, err) == (0, "")
+    big = "1" + "0" * 4300
+    assert f"H1 = {{4300}}  y1 = {big}\n" in out
+    assert f"FS u FP (1 values): {big}\n" in out
+    doc = json.loads(path.read_text())
+    assert doc["ys"] == doc["fs"] == doc["fp"] == [big] and doc["x"][-1] == big
+    # the reader keeps the limit: such decimals are refused with one short error line
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+    assert len(err) < 200
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        str(10**limit)
 
 
 def test_deeply_nested_spec_exit_two(capsys):

@@ -2,10 +2,12 @@
 
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from conftest import fp_oracle, fs_oracle, random_spec
+from ipkit import search
 from ipkit.errors import DomainBoundError, InputError, RefusalError, StructuralError
 from ipkit.fsfp import EMPTY_STATE, finite_products, finite_sums, state_of
 from ipkit.search import (
@@ -13,6 +15,7 @@ from ipkit.search import (
     OutcomeKind,
     SearchBudget,
     _accept,
+    _accept_direct,
     brute_force_subsystem,
     budget_failure,
     count_block_systems,
@@ -25,10 +28,13 @@ from ipkit.search import (
 )
 from ipkit.setspec import (
     Bitmap,
+    Complement,
     Congruence,
     DilationPreimage,
     ShiftPreimage,
+    eventual_period,
     parse_spec,
+    render_spec,
 )
 
 NAT32 = tuple(range(1, 33))
@@ -168,21 +174,24 @@ def test_stage_constraint_is_exact():
 
 
 def test_incremental_constraint_matches_from_scratch():
-    """The tests the search accumulates stage by stage agree with stage_constraint."""
+    """The tests the search accumulates stage by stage agree with stage_constraint,
+    as compiled preimages and as direct queries of the compiled target."""
     rng = random.Random(17)
     for _ in range(30):
         target = random_spec(rng)
-        fs, fp, tests = frozenset(), frozenset(), (target.predicate(),)
-        ys = ()
-        for _ in range(3):
-            y = rng.randint(1, 15)
-            fs, fp, added = _accept(target, fs, fp, y)
-            tests += added
-            ys += (y,)
-            assert (fs, fp) == (finite_sums(ys), finite_products(ys))
-            rebuilt = stage_constraint(state_of(ys), target)
-            for v in range(1, 300):
-                assert all(test(v) for test in tests) == rebuilt.contains(v), (ys, v)
+        test = target.predicate()
+        for accept in (partial(_accept, target), partial(_accept_direct, test)):
+            fs, fp, tests = frozenset(), frozenset(), (test,)
+            ys = ()
+            for _ in range(3):
+                y = rng.randint(1, 15)
+                fs, fp, added = accept(fs, fp, y)
+                tests += added
+                ys += (y,)
+                assert (fs, fp) == (finite_sums(ys), finite_products(ys))
+                rebuilt = stage_constraint(state_of(ys), target)
+                for v in range(1, 300):
+                    assert all(test(v) for test in tests) == rebuilt.contains(v), (ys, v)
 
 
 def test_search_compiles_each_preimage_once(monkeypatch):
@@ -204,11 +213,138 @@ def test_search_compiles_each_preimage_once(monkeypatch):
 
     counted(ShiftPreimage)
     counted(DilationPreimage)
-    target = parse_spec("and(mod(6,0),geq(3))")
-    out = search_subsystem(tuple(range(1, 200)), target, SearchBudget(depth=8, window=150))
-    assert out.kind is OutcomeKind.FOUND
+    x, budget = tuple(range(1, 200)), SearchBudget(depth=8, window=150)
+    # the same set as and(mod(6,0),geq(3)); its bits node keeps the tuple-of-tests path
+    guarded = search_subsystem(x, parse_spec("and(mod(6,0),or(geq(3),bits(1; 2)))"), budget)
+    assert guarded.kind is OutcomeKind.FOUND
     assert counts["built"] > 0
     assert counts["compiled"] == counts["built"]
+    # bits-free: searched on one period window, no preimage built or compiled
+    counts.update(built=0, compiled=0)
+    out = search_subsystem(x, parse_spec("and(mod(6,0),geq(3))"), budget)
+    assert counts == {"built": 0, "compiled": 0}
+    assert (out.nodes, out.certificate.blocks) == (guarded.nodes, guarded.certificate.blocks)
+
+
+def _counted(spec):
+    """not(not(spec)), and a count of the queries its compiled predicates answer."""
+    queries = [0]
+
+    class Counted(Complement):
+        def predicate(self):
+            inner = super().predicate()
+
+            def test(v):
+                queries[0] += 1
+                return inner(v)
+
+            return test
+
+    return Counted(Complement(spec)), queries
+
+
+def _on_both_paths(monkeypatch, x, spec, budget):
+    """The search on the period window, checked against the tuple of tests.
+
+    The window runs with LISTING_ALLOWANCE as set and at 0.  Each run must
+    give the forced tuple path's kind, nodes and certificate, and make at
+    most nodes + allowance more target queries.  Returns the outcome and how
+    many stages each allowance skipped.
+    """
+    counted, queries = _counted(spec)
+    with monkeypatch.context() as m:
+        m.setattr(search, "eventual_period", lambda spec: None)
+        tuple_path = search_subsystem(x, counted, budget)
+    tuple_queries = queries[0]
+    skips = {}
+    for allowance in (search.LISTING_ALLOWANCE, 0):
+        queries[0], skips[allowance] = 0, 0
+
+        def counted_skip(n, max_block, count=search._block_count):
+            skips[allowance] += 1
+            return count(n, max_block)
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "LISTING_ALLOWANCE", allowance)
+            m.setattr(search, "_block_count", counted_skip)
+            window = search_subsystem(x, counted, budget)
+        context = (render_spec(spec), x, budget, allowance)
+        assert (window.kind, window.nodes, window.certificate) == (
+            tuple_path.kind,
+            tuple_path.nodes,
+            tuple_path.certificate,
+        ), context
+        assert queries[0] <= tuple_queries + window.nodes + allowance, context
+        if allowance:
+            out = window
+    return out, skips
+
+
+def test_window_path_matches_tuple_path_and_brute_force(monkeypatch):
+    rng = random.Random(2718)
+    skipped = dict.fromkeys((search.LISTING_ALLOWANCE, 0), 0)
+    for _ in range(400):
+        spec = random_spec(rng, depth=rng.randint(0, 3))
+        if rng.random() < 0.3:
+            wrap = DilationPreimage if rng.random() < 0.5 else ShiftPreimage
+            spec = wrap(rng.randint(1, 5), spec)
+        n = rng.randint(4, 12)
+        x = tuple(rng.randint(1, 40) for _ in range(n)) if rng.random() < 0.5 else tuple(range(1, n + 1))
+        budget = SearchBudget(
+            depth=rng.randint(1, 3),
+            window=n,
+            max_block=rng.randint(1, 3),
+            node_limit=rng.choice((10**6, rng.randint(1, 400))),
+        )
+        out, skips = _on_both_paths(monkeypatch, x, spec, budget)
+        for allowance, count in skips.items():
+            skipped[allowance] += count > 0
+        if budget.node_limit == 10**6:
+            slow = brute_force_subsystem(x, spec, budget)
+            # the brute force searched spec itself, not its counted double negation
+            assert (out.kind, out.certificate and out.certificate.blocks) == (
+                slow.kind,
+                slow.certificate and slow.certificate.blocks,
+            )
+    # searches that skipped a stage, listed up front and listed once paid for
+    assert skipped[search.LISTING_ALLOWANCE] > 100
+    assert skipped[0] > 50
+
+
+def test_skipped_stage_counts_and_clamps_like_the_loop(monkeypatch):
+    """Odd + odd is even: after each odd y >= 5, stage 2 admits nothing and is skipped."""
+    parity = parse_spec("and(not(mod(2,0)),geq(5))")
+    for window, max_block in ((9, 2), (12, 3), (15, 4)):
+        x = tuple(range(1, window + 1))
+        blocks = list(iter_blocks(1, window, max_block))
+        first = next(i for i, b in enumerate(blocks, 1) if parity.contains(sum(b)))
+        after_skip = first + len(list(iter_blocks(blocks[first - 1][-1] + 1, window, max_block)))
+        out, skips = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block))
+        total = out.nodes
+        assert skips[search.LISTING_ALLOWANCE] == sum(parity.contains(sum(b)) for b in blocks)
+        assert total == count_block_systems(window, max_block, 1) + sum(
+            len(list(iter_blocks(b[-1] + 1, window, max_block)))
+            for b in blocks
+            if parity.contains(sum(b))
+        )
+        for limit in (after_skip - 1, after_skip, after_skip + 1, total - 1):
+            out, _ = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block, limit))
+            assert (out.kind, out.nodes) == (OutcomeKind.NODE_LIMIT, limit), limit
+        # a limit of exactly the total still exhausts; at windows 9 and 12 the
+        # last candidate's sum is odd, so the search ends on a skip of no candidates
+        out, _ = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block, total))
+        assert (out.kind, out.nodes) == (OutcomeKind.EXHAUSTED, total)
+
+
+def test_wide_period_found_quickly_lists_nothing(monkeypatch):
+    """T+L = 999983: listing even stage 1 would cost 999983 target queries,
+    while the search finds its 12 terms in 12 nodes."""
+    x, budget = tuple(range(1, 201)), SearchBudget(depth=12, window=200)
+    target, queries = _counted(parse_spec("not(mod(999983,0))"))
+    out = search_subsystem(x, target, budget)
+    assert (out.kind, out.nodes) == (OutcomeKind.FOUND, 12)
+    assert queries[0] < 5_000
+    _on_both_paths(monkeypatch, x, target.child.child, budget)
 
 
 def test_determinism():

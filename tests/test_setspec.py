@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spec, same_members
 from ipkit.errors import DomainBoundError, InputError, SpecSyntaxError
@@ -19,6 +21,7 @@ from ipkit.setspec import (
     ShiftPreimage,
     Union,
     dilation_preimage,
+    eventual_period,
     intersect_all,
     parse_spec,
     render_spec,
@@ -281,3 +284,43 @@ def test_render_parse_round_trip():
         assert parse_spec(text) == spec
         # canonical text is a fixed point
         assert render_spec(parse_spec(text)) == text
+
+
+def test_eventual_period_examples():
+    assert eventual_period(parse_spec("mod(6,4)")) == (0, 6)
+    assert eventual_period(parse_spec("geq(5)")) == (5, 1)
+    assert eventual_period(parse_spec("range(3,9)")) == (9, 1)
+    assert eventual_period(FULL) == eventual_period(EMPTY) == (0, 1)
+    assert eventual_period(parse_spec("and(not(mod(2,0)),geq(5))")) == (5, 2)
+    assert eventual_period(parse_spec("or(dil(3,mod(4,1)),shift(2,range(1,7)),mod(6,0))")) == (7, 12)
+    assert eventual_period(parse_spec("and(mod(6,0),not(bits(3; 9)))")) is None
+    assert eventual_period(parse_spec("shift(1,or(geq(2),dil(2,bits(; 4))))")) is None
+
+
+bits_free_leaves = st.one_of(
+    st.builds(lambda m, r: Congruence(m, r % m), st.integers(1, 12), st.integers(0, 11)),
+    st.builds(lambda lo: Interval(lo), st.integers(1, 40)),
+    st.builds(lambda lo, n: Interval(lo, lo + n), st.integers(1, 40), st.integers(0, 30)),
+    st.sampled_from([EMPTY, FULL]),
+)
+bits_free_specs = st.recursive(
+    bits_free_leaves,
+    lambda inner: st.one_of(
+        st.builds(Complement, inner),
+        st.builds(Intersection, st.lists(inner, min_size=2, max_size=3)),
+        st.builds(Union, st.lists(inner, min_size=2, max_size=3)),
+        st.builds(DilationPreimage, st.integers(1, 6), inner),
+        st.builds(ShiftPreimage, st.integers(1, 20), inner),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=bits_free_specs, t=st.integers(1, 50), n=st.integers(1, 8), far=st.integers(0, 10**12))
+def test_eventual_period_holds_for_spec_and_its_preimages(spec, t, n, far):
+    """Past T, membership repeats with period L, on the spec and on every preimage of it."""
+    T, L = eventual_period(spec)
+    for s in (spec, shift_preimage(spec, t), dilation_preimage(spec, n)):
+        for v in [*range(T + 1, T + 2 * L + 40), T + 1 + far]:
+            assert s.contains(v) == s.contains(v + L), (render_spec(s), v)
