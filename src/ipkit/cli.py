@@ -26,7 +26,7 @@ from .certificates import (
     witness_document,
     write_document,
 )
-from .errors import DomainBoundError, InputError, RefusalError, StructuralError
+from .errors import DomainBoundError, InputError, RefusalError, StructuralError, shown
 from .fsfp import finite_products, finite_sums
 from .partition import hindman_finite, ip_star_refute, parse_coloring
 from .search import (
@@ -60,7 +60,16 @@ def _int_field(text: str, what: str) -> int:
     try:
         return int(text, 10)
     except ValueError:
-        raise InputError(f"{what} must be an integer, got {text!r}") from None
+        raise InputError(f"{what} must be an integer, got {shown(text)}") from None
+
+
+def _read_text(path: str) -> str:
+    """The whole of a UTF-8 input file; other bytes are an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{shown(path)} is not UTF-8 text: byte {exc.start}: {exc.reason}") from None
 
 
 def parse_sequence_source(source: str) -> tuple[int, ...]:
@@ -69,19 +78,19 @@ def parse_sequence_source(source: str) -> tuple[int, ...]:
     if kind == "nat":
         n = _int_field(rest, "nat count")
         if n < 1:
-            raise InputError(f"nat count must be >= 1, got {n}")
+            raise InputError(f"nat count must be >= 1, got {shown(n)}")
         return tuple(range(1, n + 1))
     if kind == "pow":
         base_text, _, count_text = rest.partition(":")
         base = _int_field(base_text, "pow base")
         n = _int_field(count_text, "pow count")
         if base < 1 or n < 1:
-            raise InputError(f"pow base and count must be >= 1, got {base}, {n}")
+            raise InputError(f"pow base and count must be >= 1, got {shown(base)}, {shown(n)}")
         return tuple(base**k for k in range(1, n + 1))
     if kind == "fib":
         n = _int_field(rest, "fib count")
         if n < 1:
-            raise InputError(f"fib count must be >= 1, got {n}")
+            raise InputError(f"fib count must be >= 1, got {shown(n)}")
         terms = [1, 1]
         while len(terms) < n:
             terms.append(terms[-1] + terms[-2])
@@ -89,18 +98,17 @@ def parse_sequence_source(source: str) -> tuple[int, ...]:
     if kind == "file":
         if not rest:
             raise InputError("file source needs a path: file:PATH")
-        with open(rest, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
         values = []
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(_read_text(rest).splitlines(), start=1):
+            line = line.strip()
             if not line or line.startswith("#"):
                 continue
             values.append(_int_field(line, f"sequence file line {lineno}"))
         if not values:
-            raise InputError(f"sequence file {rest!r} holds no values")
+            raise InputError(f"sequence file {shown(rest)} holds no values")
         return tuple(values)
     raise InputError(
-        f"unknown sequence source {source!r}; use nat:N, pow:b:N, fib:N, or file:PATH"
+        f"unknown sequence source {shown(source)}; use nat:N, pow:b:N, fib:N, or file:PATH"
     )
 
 
@@ -198,8 +206,7 @@ def _cmd_refute(args) -> int:
 
 
 def _cmd_hindman(args) -> int:
-    with open(args.coloring, "r", encoding="utf-8") as fh:
-        coloring = parse_coloring(fh.read())
+    coloring = parse_coloring(_read_text(args.coloring))
     result = hindman_finite(coloring, args.depth)
     if args.json:
         doc = hindman_document(result, args.depth, coloring.bound, coloring.palette)
@@ -256,8 +263,7 @@ def _product_formula_sweep(sg, rng_seed: int = 7, samples: int = 2000):
 
 
 def _cmd_semigroup(args) -> int:
-    with open(args.table, "r", encoding="utf-8") as fh:
-        sg = parse_table(fh.read())
+    sg = parse_table(_read_text(args.table))
     cap = _resolve_order_cap(args)
     ids = idempotents(sg)
     print(f"order: {sg.order}")
@@ -390,7 +396,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, StructuralError, DomainBoundError, RefusalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # str(exc) would echo a path argument of any length whole
+            message = f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, shown
 from .fsfp import finite_sums
 from .setspec import Complement, SetSpec
 
@@ -154,13 +154,13 @@ def parse_coloring(text: str) -> Coloring:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise InputError(f"coloring line {lineno}: expected 'value color', got {line!r}")
+            raise InputError(f"coloring line {lineno}: expected 'value color', got {shown(line)}")
         try:
             value, color = int(parts[0]), int(parts[1])
         except ValueError:
-            raise InputError(f"coloring line {lineno}: non-integer field in {line!r}") from None
+            raise InputError(f"coloring line {lineno}: non-integer field in {shown(line)}") from None
         if value in assignment:
-            raise InputError(f"coloring line {lineno}: value {value} colored twice")
+            raise InputError(f"coloring line {lineno}: value {shown(value)} colored twice")
         assignment[value] = color
     if not assignment:
         raise InputError("coloring file assigns no values")

@@ -16,29 +16,29 @@ A good stage-m+1 candidate y must satisfy y in A, t+y in A for every t
 already in the finite-sum set, and s*y in A for every s in the finite-product
 set: the stage constraint.  It is exact, so pruning on it never changes
 which complete block systems are accepted.  The search keeps it as a flat
-tuple of tests, each made once: the compiled target, then tests for just the
-sums and products each accepted term adds, in ascending order per stage.
+tuple of tests, each made once: the compiled target, then queries of that
+same compiled target at just the sums and products each accepted term adds,
+in ascending order per stage.  :func:`stage_constraint` states the
+constraint from scratch.
 
-* When the target holds a ``bits`` node, those tests are the compiled shift
-  and dilation preimages.  This keeps the first query that raises
-  :class:`~ipkit.errors.DomainBoundError`.
-* Otherwise the target has an :func:`~ipkit.setspec.eventual_period` (T, L),
-  and every stage constraint repeats with period L past T.  The tests query
-  the compiled target itself, and a stage's members in the period window
-  [1..T+L] may be listed, filtered from its nearest listed ancestor's.  A
-  listed stage costs one lookup per candidate, at its representative in
-  [T+1..T+L] when the candidate is larger.  An empty one is not scanned: its
-  remaining candidates are counted in closed form, clamped at the node limit
-  exactly as the scan would stop.  A stage is listed only once the nodes
-  counted so far pay for the target queries listing costs, so all listings
-  together spend at most nodes + ``LISTING_ALLOWANCE`` queries.  A lookup
-  stands in for a prefix of the tests, so this form never makes more than
-  nodes + ``LISTING_ALLOWANCE`` target queries (one per test run) beyond
-  what the unlisted tuple would.  It gains when the search tests many more
-  nodes than T+L: exhausting and node-limited searches over small periods.
+A target holding a ``bits`` node runs those tests on every candidate, so the
+first query that raises :class:`~ipkit.errors.DomainBoundError` is fixed by
+the canonical order.  Any other target has an
+:func:`~ipkit.setspec.eventual_period` (T, L), and every stage constraint
+repeats with period L past T.  A stage's members in the period window
+[1..T+L] may then be listed, filtered from its nearest listed ancestor's.  A
+listed stage costs one lookup per candidate, at its representative in
+[T+1..T+L] when the candidate is larger.  An empty one is not scanned: its
+remaining candidates are counted in closed form, clamped at the node limit
+exactly as the scan would stop.  A stage is listed only once the nodes
+counted so far pay for the target queries listing costs, so all listings
+together spend at most nodes + ``LISTING_ALLOWANCE`` queries.  A lookup
+stands in for a prefix of the tests, so listing never makes more than nodes
++ ``LISTING_ALLOWANCE`` target queries (one per test run) beyond what the
+unlisted tests would, and never changes node counts, outcomes or
+certificates.  It gains when the search tests many more nodes than T+L:
+exhausting and node-limited searches over small periods.
 
-Both forms give the same node counts, outcomes and certificates.
-:func:`stage_constraint` states the constraint from scratch.
 :func:`brute_force_subsystem` re-derives the answer with no pruning and no
 incremental state, and :func:`verify_certificate` rechecks a found
 certificate from scratch.
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from itertools import combinations
 from math import comb, prod
 
@@ -169,33 +168,19 @@ def count_block_systems(window: int, max_block: int, depth: int) -> int:
     return sum(chains.values())
 
 
-def _preimages(target: SetSpec, sums, products) -> list[SetSpec]:
-    """Shift preimages of ``sums``, then dilation preimages of ``products``, each ascending."""
-    return [shift_preimage(target, t) for t in sorted(sums)] + [
-        dilation_preimage(target, s) for s in sorted(products)
-    ]
-
-
 def stage_constraint(state: FsFpState, target: SetSpec) -> SetSpec:
     """The set of admissible next terms given what is already committed.
 
     y satisfies the returned spec iff appending y to the state keeps every
-    finite sum and finite product inside ``target``.  Built from scratch; the
-    search accumulates the same preimages stage by stage.
+    finite sum and finite product inside ``target``.  Built from scratch as
+    shift and dilation preimages; the search asks the same questions of the
+    compiled target, stage by stage.
     """
-    return intersect_all([target, *_preimages(target, state.fs, state.fp)])
-
-
-def _new_values(fs: frozenset, fp: frozenset, y: int) -> tuple[set, set]:
-    """The sums and products that appending y adds to FS and FP."""
-    return {y, *(t + y for t in fs)} - fs, {y, *(s * y for s in fp)} - fp
-
-
-def _accept(target: SetSpec, fs: frozenset, fp: frozenset, y: int) -> tuple:
-    """Append y: the grown FS and FP, and compiled tests for just the values y adds."""
-    new_sums, new_prods = _new_values(fs, fp, y)
-    tests = tuple(p.predicate() for p in _preimages(target, new_sums, new_prods))
-    return fs | new_sums, fp | new_prods, tests
+    return intersect_all(
+        [target]
+        + [shift_preimage(target, t) for t in sorted(state.fs)]
+        + [dilation_preimage(target, s) for s in sorted(state.fp)]
+    )
 
 
 def _shifted(test, t: int):
@@ -206,9 +191,11 @@ def _dilated(test, s: int):
     return lambda v: test(s * v)
 
 
-def _accept_direct(test, fs: frozenset, fp: frozenset, y: int) -> tuple:
-    """As :func:`_accept`, with tests that query the compiled target itself."""
-    new_sums, new_prods = _new_values(fs, fp, y)
+def _accept(test, fs: frozenset, fp: frozenset, y: int) -> tuple:
+    """Append y: the grown FS and FP, and queries of the compiled target ``test``
+    at just the sums, then the products, that y adds, each ascending."""
+    new_sums = {y, *(t + y for t in fs)} - fs
+    new_prods = {y, *(s * y for s in fp)} - fp
     tests = tuple(_shifted(test, t) for t in sorted(new_sums)) + tuple(
         _dilated(test, s) for s in sorted(new_prods)
     )
@@ -289,13 +276,10 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     # nodes + LISTING_ALLOWANCE
     spent = 0
     path: list[tuple[int, ...]] = []
-    test = target.predicate()
+    in_target = target.predicate()
     period = eventual_period(target)
-    if period is None:
-        accept = partial(_accept, target)
-        top = None
-    else:
-        accept = partial(_accept_direct, test)
+    top = None
+    if period is not None:
         first, size = period[0] + 1, period[1]
         top = first + size - 1
 
@@ -358,7 +342,7 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
                 if stage == budget.depth:
                     return True
                 before = nodes
-                next_fs, next_fp, added = accept(fs, fp, y)
+                next_fs, next_fp, added = _accept(in_target, fs, fp, y)
                 child = _Stage(constraint, added)
                 if extend(stage + 1, block[-1] + 1, next_fs, next_fp, child, tests + added):
                     return True
@@ -376,7 +360,7 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
                         tests, stop = (lookup(constraint.members),), budget.node_limit
         return False
 
-    found = extend(1, 1, frozenset(), frozenset(), _Stage(None, (test,)), (test,))
+    found = extend(1, 1, frozenset(), frozenset(), _Stage(None, (in_target,)), (in_target,))
     if found:
         blocks = tuple(path)
         ys = tuple(sum(terms[i - 1] for i in block) for block in blocks)

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import AssociativityError, InputError, RefusalError, StructuralError
+from .errors import AssociativityError, InputError, RefusalError, StructuralError, shown
 
 DEFAULT_ORDER_CAP = 12
 
@@ -66,7 +66,7 @@ class FiniteSemigroup:
                 raise InputError(f"table is not square: row {i} has {len(row)} entries, expected {n}")
             for j, v in enumerate(row):
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise InputError(f"table entry [{i}][{j}] = {v!r} outside 0..{n - 1}")
+                    raise InputError(f"table entry [{i}][{j}] = {shown(v)} outside 0..{n - 1}")
         triple = _first_associativity_violation(table)
         if triple is not None:
             raise AssociativityError(triple)
@@ -96,11 +96,11 @@ def parse_table(text: str) -> FiniteSemigroup:
     try:
         n = int(lines[0])
     except ValueError:
-        raise InputError(f"first line must be the order, got {lines[0]!r}") from None
+        raise InputError(f"first line must be the order, got {shown(lines[0])}") from None
     if n < 1:
-        raise InputError(f"order must be >= 1, got {n}")
+        raise InputError(f"order must be >= 1, got {shown(n)}")
     if len(lines) != n + 1:
-        raise InputError(f"expected {n} table rows after the order line, got {len(lines) - 1}")
+        raise InputError(f"expected {shown(n)} table rows after the order line, got {len(lines) - 1}")
     rows = []
     for i, line in enumerate(lines[1:]):
         parts = line.split()
@@ -109,7 +109,7 @@ def parse_table(text: str) -> FiniteSemigroup:
         try:
             rows.append(tuple(int(p) for p in parts))
         except ValueError:
-            raise InputError(f"row {i} contains a non-integer entry: {line!r}") from None
+            raise InputError(f"row {i} contains a non-integer entry: {shown(line)}") from None
     return validate_table(rows)
 
 

@@ -6,8 +6,8 @@ membership queries, boolean algebra, and two preimage constructions:
 * dilation preimage  n^-1 A = {v : n*v in A}
 * shift preimage     t^-1 A = {v : t+v in A}
 
-Concrete text syntax (whitespace insignificant, integers decimal and
-arbitrary precision)::
+Concrete text syntax (whitespace insignificant, integers ASCII decimal of at
+most Python's int->str digit limit, 4300 by default)::
 
     spec := "mod(" m "," r ")"            residue class  {v : v = r (mod m)}
           | "geq(" n ")"                  half line      {v : v >= n}
@@ -406,11 +406,15 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # Python's int->str digit limit, kept: it bounds a quadratic conversion
+            digits, self.pos = self.pos - start, start
+            self.fail(f"integer literal of {digits} digits exceeds the digit limit")
 
     def peek(self) -> str:
         self.skip_ws()
@@ -446,7 +450,7 @@ class _Parser:
         if word == "bits":
             self.expect("(")
             values = []
-            while self.peek().isdigit():
+            while "0" <= self.peek() <= "9":
                 values.append(self.integer())
             self.expect(";")
             bound = self.integer()

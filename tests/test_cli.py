@@ -169,7 +169,8 @@ def test_verify_hostile_documents_exit_two(capsys, tmp_path):
         "--json", str(path))
     doc = json.loads(path.read_text())
     deep_spec = "not(" * 1000 + "mod(6,0)" + ")" * 1000
-    for field, value in (("x", 7), ("blocks", 5), ("fs", 3), ("x", "123"), ("spec", deep_spec)):
+    for field, value in (("x", 7), ("blocks", 5), ("fs", 3), ("x", "123"), ("spec", deep_spec),
+                         ("spec", f"mod({'6' * 4301},0)"), ("spec", "mod(\u00b2,0)")):
         path.write_text(json.dumps({**doc, field: value}))
         code, out, err = run(capsys, "verify", "--cert", str(path))
         assert (code, out, err.startswith("error:")) == (2, "", True), field
@@ -213,14 +214,23 @@ def test_search_output_past_int_str_digit_limit(capsys, tmp_path):
 
 
 def test_deeply_nested_spec_exit_two(capsys):
-    deep = "not(" * 1000 + "mod(6,0)" + ")" * 1000
-    for argv in (
-        ("dilate", "--spec", deep, "--n", "2"),
-        ("search", "--seq", "nat:8", "--spec", deep, "--depth", "1"),
-        ("refute", "--spec", deep, "--depth", "2", "--bound", "10"),
-    ):
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and "deeper than 100 levels" in err, argv[0]
+    hostile = (
+        ("not(" * 1000 + "mod(6,0)" + ")" * 1000, "deeper than 100 levels"),
+        # a literal past the int->str digit limit, and a digit that is not ASCII
+        (f"mod({'9' * 4301},0)", "literal of 4301 digits exceeds the digit limit (at position 4)"),
+        ("mod(\u00b2,0)", "expected an integer (at position 4)"),
+        ("bits(1 \u0663; 9)", "expected ';' (at position 7)"),
+    )
+    for spec, message in hostile:
+        for argv in (
+            ("dilate", "--spec", spec, "--n", "2"),
+            ("search", "--seq", "nat:8", "--spec", spec, "--depth", "1"),
+            ("refute", "--spec", spec, "--depth", "2", "--bound", "10"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (argv[0], message)
+            assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+            assert message in err, (argv[0], err)
 
 
 SEARCH_FIELDS = ("blocks", "budget", "created_at", "format_version", "fp", "fs", "kind",
@@ -306,6 +316,59 @@ def test_hindman_bad_coloring_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "hindman", "--coloring", str(bad), "--depth", "2")
     assert code == 2
     assert "missing" in err
+
+
+def one_short_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, ""), argv[:3]
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200, err[:300]
+    return err
+
+
+def test_non_utf8_input_files_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (
+        ("fs", "--seq", f"file:{bad}"),
+        ("hindman", "--coloring", str(bad), "--depth", "2"),
+        ("semigroup", "--table", str(bad)),
+    ):
+        assert "is not UTF-8 text" in one_short_error(capsys, *argv), argv[0]
+
+
+def test_long_arguments_and_input_lines_print_short_errors(capsys, tmp_path):
+    """A 100,000-character argument or file line is never echoed whole."""
+    long_text = "z" * 100_000
+    seq, coloring, table = (tmp_path / name for name in ("seq.txt", "coloring.txt", "table.txt"))
+    cases = [
+        (("fs", "--seq", f"nat:{long_text}"), "nat count must be an integer"),
+        (("fs", "--seq", f"nat:-{'9' * 4000}"), "nat count must be >= 1"),
+        (("fs", "--seq", f"moon:{long_text}"), "unknown sequence source"),
+        (("fs", "--seq", f"file:{seq}"), "sequence file line 2 must be an integer"),
+        (("fs", "--seq", f"file:{tmp_path / long_text}"), "File name too long"),
+        (("hindman", "--coloring", str(coloring), "--depth", "2"), "coloring line 1"),
+        (("semigroup", "--table", str(table)), "first line must be the order"),
+    ]
+    seq.write_text(f"1\n{long_text}\n")
+    coloring.write_text(f"1 {long_text}\n")
+    table.write_text(f"{long_text}\n0\n")
+    for argv, message in cases:
+        assert message in one_short_error(capsys, *argv), argv[:2]
+    for text, message in (
+        (f"1 0\n1 {long_text} 0\n", "expected 'value color'"),
+        (f"{'9' * 4000} 0\n{'9' * 4000} 0\n", "colored twice"),
+    ):
+        coloring.write_text(text)
+        assert message in one_short_error(capsys, "hindman", "--coloring", str(coloring), "--depth", "2")
+    for text, message in (
+        (f"-{'9' * 4000}\n", "order must be >= 1"),
+        (f"{'9' * 4000}\n0\n", "table rows after the order line"),
+        (f"1\n0 {long_text}\n", "row 0 has 2 entries"),
+        (f"1\n{long_text}\n", "row 0 contains a non-integer entry"),
+        (f"1\n{'9' * 4000}\n", "outside 0..0"),
+    ):
+        table.write_text(text)
+        assert message in one_short_error(capsys, "semigroup", "--table", str(table))
 
 
 def test_semigroup_reports(capsys, tmp_path):

@@ -1,8 +1,8 @@
 """Subsystem search: canonical order, oracle equivalence, verification."""
 
+import collections
 import random
 from dataclasses import replace
-from functools import partial
 
 import pytest
 
@@ -15,7 +15,6 @@ from ipkit.search import (
     OutcomeKind,
     SearchBudget,
     _accept,
-    _accept_direct,
     brute_force_subsystem,
     budget_failure,
     count_block_systems,
@@ -31,7 +30,10 @@ from ipkit.setspec import (
     Complement,
     Congruence,
     DilationPreimage,
+    Intersection,
+    Interval,
     ShiftPreimage,
+    Union,
     eventual_period,
     parse_spec,
     render_spec,
@@ -174,55 +176,48 @@ def test_stage_constraint_is_exact():
 
 
 def test_incremental_constraint_matches_from_scratch():
-    """The tests the search accumulates stage by stage agree with stage_constraint,
-    as compiled preimages and as direct queries of the compiled target."""
+    """The tests the search accumulates stage by stage agree with stage_constraint."""
     rng = random.Random(17)
     for _ in range(30):
         target = random_spec(rng)
         test = target.predicate()
-        for accept in (partial(_accept, target), partial(_accept_direct, test)):
-            fs, fp, tests = frozenset(), frozenset(), (test,)
-            ys = ()
-            for _ in range(3):
-                y = rng.randint(1, 15)
-                fs, fp, added = accept(fs, fp, y)
-                tests += added
-                ys += (y,)
-                assert (fs, fp) == (finite_sums(ys), finite_products(ys))
-                rebuilt = stage_constraint(state_of(ys), target)
-                for v in range(1, 300):
-                    assert all(test(v) for test in tests) == rebuilt.contains(v), (ys, v)
+        fs, fp, tests = frozenset(), frozenset(), (test,)
+        ys = ()
+        for _ in range(3):
+            y = rng.randint(1, 15)
+            fs, fp, added = _accept(test, fs, fp, y)
+            tests += added
+            ys += (y,)
+            assert (fs, fp) == (finite_sums(ys), finite_products(ys))
+            rebuilt = stage_constraint(state_of(ys), target)
+            for v in range(1, 300):
+                assert all(test(v) for test in tests) == rebuilt.contains(v), (ys, v)
 
 
-def test_search_compiles_each_preimage_once(monkeypatch):
-    counts = {"built": 0, "compiled": 0}
+def test_search_compiles_target_once_and_no_preimage(monkeypatch):
+    counts = {"built": 0, "compiled": 0, "bitmaps": 0}
 
-    def counted(cls):
-        post_init, predicate = cls.__post_init__, cls.predicate
+    def counted(cls, key, method):
+        original = getattr(cls, method)
 
-        def counted_post_init(self):
-            counts["built"] += 1
-            post_init(self)
+        def counted_method(self):
+            counts[key] += 1
+            return original(self)
 
-        def counted_predicate(self):
-            counts["compiled"] += 1
-            return predicate(self)
+        monkeypatch.setattr(cls, method, counted_method)
 
-        monkeypatch.setattr(cls, "__post_init__", counted_post_init)
-        monkeypatch.setattr(cls, "predicate", counted_predicate)
-
-    counted(ShiftPreimage)
-    counted(DilationPreimage)
+    for cls in (ShiftPreimage, DilationPreimage):
+        counted(cls, "built", "__post_init__")
+        counted(cls, "compiled", "predicate")
+    counted(Bitmap, "bitmaps", "predicate")
     x, budget = tuple(range(1, 200)), SearchBudget(depth=8, window=150)
-    # the same set as and(mod(6,0),geq(3)); its bits node keeps the tuple-of-tests path
+    # the same set as and(mod(6,0),geq(3)), with no eventual period
     guarded = search_subsystem(x, parse_spec("and(mod(6,0),or(geq(3),bits(1; 2)))"), budget)
     assert guarded.kind is OutcomeKind.FOUND
-    assert counts["built"] > 0
-    assert counts["compiled"] == counts["built"]
-    # bits-free: searched on one period window, no preimage built or compiled
-    counts.update(built=0, compiled=0)
+    assert counts == {"built": 0, "compiled": 0, "bitmaps": 1}
+    counts.update(bitmaps=0)
     out = search_subsystem(x, parse_spec("and(mod(6,0),geq(3))"), budget)
-    assert counts == {"built": 0, "compiled": 0}
+    assert counts == {"built": 0, "compiled": 0, "bitmaps": 0}
     assert (out.nodes, out.certificate.blocks) == (guarded.nodes, guarded.certificate.blocks)
 
 
@@ -244,18 +239,18 @@ def _counted(spec):
 
 
 def _on_both_paths(monkeypatch, x, spec, budget):
-    """The search on the period window, checked against the tuple of tests.
+    """The search on the period window, checked against the unlisted tests.
 
     The window runs with LISTING_ALLOWANCE as set and at 0.  Each run must
-    give the forced tuple path's kind, nodes and certificate, and make at
+    give the forced unlisted path's kind, nodes and certificate, and make at
     most nodes + allowance more target queries.  Returns the outcome and how
     many stages each allowance skipped.
     """
     counted, queries = _counted(spec)
     with monkeypatch.context() as m:
         m.setattr(search, "eventual_period", lambda spec: None)
-        tuple_path = search_subsystem(x, counted, budget)
-    tuple_queries = queries[0]
+        unlisted = search_subsystem(x, counted, budget)
+    unlisted_queries = queries[0]
     skips = {}
     for allowance in (search.LISTING_ALLOWANCE, 0):
         queries[0], skips[allowance] = 0, 0
@@ -270,21 +265,34 @@ def _on_both_paths(monkeypatch, x, spec, budget):
             window = search_subsystem(x, counted, budget)
         context = (render_spec(spec), x, budget, allowance)
         assert (window.kind, window.nodes, window.certificate) == (
-            tuple_path.kind,
-            tuple_path.nodes,
-            tuple_path.certificate,
+            unlisted.kind,
+            unlisted.nodes,
+            unlisted.certificate,
         ), context
-        assert queries[0] <= tuple_queries + window.nodes + allowance, context
+        assert queries[0] <= unlisted_queries + window.nodes + allowance, context
         if allowance:
             out = window
     return out, skips
 
 
-def test_window_path_matches_tuple_path_and_brute_force(monkeypatch):
+def _guarded_bits(rng):
+    """and(range(1,B), bits(...; B)): a bits target no query takes past its bound."""
+    bound = rng.randint(1, 2000)
+    density = rng.choice((0.5, 0.9, 1.0))
+    values = frozenset(v for v in range(1, bound + 1) if rng.random() < density)
+    return Intersection((Interval(1, bound), Bitmap(values, bound)))
+
+
+def test_window_path_matches_unlisted_path_and_brute_force(monkeypatch):
     rng = random.Random(2718)
     skipped = dict.fromkeys((search.LISTING_ALLOWANCE, 0), 0)
-    for _ in range(400):
+    # bits searches that ended found or exhausted, cross-checked by brute force
+    bits_checked = collections.Counter()
+    for _ in range(500):
         spec = random_spec(rng, depth=rng.randint(0, 3))
+        if rng.random() < 0.2:
+            bits = _guarded_bits(rng)
+            spec = rng.choice((bits, Union((spec, bits)), Intersection((bits, spec))))
         if rng.random() < 0.3:
             wrap = DilationPreimage if rng.random() < 0.5 else ShiftPreimage
             spec = wrap(rng.randint(1, 5), spec)
@@ -306,6 +314,9 @@ def test_window_path_matches_tuple_path_and_brute_force(monkeypatch):
                 slow.kind,
                 slow.certificate and slow.certificate.blocks,
             )
+            if eventual_period(spec) is None:
+                bits_checked[slow.kind] += 1
+    assert min(bits_checked[OutcomeKind.FOUND], bits_checked[OutcomeKind.EXHAUSTED]) > 10, bits_checked
     # searches that skipped a stage, listed up front and listed once paid for
     assert skipped[search.LISTING_ALLOWANCE] > 100
     assert skipped[0] > 50
