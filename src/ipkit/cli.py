@@ -278,7 +278,7 @@ def _cmd_semigroup(args) -> int:
         print(f"minimal left ideals: {_format_sets(structure.minimal_left)}")
         print(f"minimal right ideals: {_format_sets(structure.minimal_right)}")
         print(f"kernel K: {{{','.join(str(v) for v in sorted(structure.kernel))}}}")
-        order_info = idempotent_order(sg, cap)
+        order_info = idempotent_order(sg, cap, structure.kernel)
         print(f"minimal idempotents: {' '.join(str(e) for e in sorted(order_info.minimal))}")
         pairs = 0
         all_groups = True

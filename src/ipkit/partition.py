@@ -165,7 +165,15 @@ def parse_coloring(text: str) -> Coloring:
     if not assignment:
         raise InputError("coloring file assigns no values")
     bound = max(assignment)
-    missing = [v for v in range(1, bound + 1) if v not in assignment]
+    # the first five gaps in [1..bound], read between the sorted values so the
+    # cost follows the file and not its largest value
+    missing: list[int] = []
+    last = 0
+    for v in sorted(assignment):
+        if len(missing) >= 5:
+            break
+        missing.extend(range(last + 1, min(v, last + 6)))
+        last = max(last, v)
     if missing:
         raise InputError(f"coloring is not total on [1..{bound}]: missing {missing[:5]}")
     return Coloring(tuple(assignment[v] for v in range(1, bound + 1)))

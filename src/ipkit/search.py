@@ -25,8 +25,12 @@ A target holding a ``bits`` node runs those tests on every candidate, so the
 first query that raises :class:`~ipkit.errors.DomainBoundError` is fixed by
 the canonical order.  Any other target has an
 :func:`~ipkit.setspec.eventual_period` (T, L), and every stage constraint
-repeats with period L past T.  A stage's members in the period window
-[1..T+L] may then be listed, filtered from its nearest listed ancestor's.  A
+repeats with period L past T.  The search keeps each of its sums and
+products by key: the value itself up to T, its representative in [T+1..T+L]
+above.  Values with one key make the same test, so a path holds at most
+2(T+L) tests however deep it goes; such a target never raises, so the order
+of its tests does not matter.  A stage's members in the period window
+[1..T+L] may also be listed, filtered from its nearest listed ancestor's.  A
 listed stage costs one lookup per candidate, at its representative in
 [T+1..T+L] when the candidate is larger.  An empty one is not scanned: its
 remaining candidates are counted in closed form, clamped at the node limit
@@ -40,8 +44,10 @@ certificates.  It gains when the search tests many more nodes than T+L:
 exhausting and node-limited searches over small periods.
 
 :func:`brute_force_subsystem` re-derives the answer with no pruning and no
-incremental state, and :func:`verify_certificate` rechecks a found
-certificate from scratch.
+incremental state, enumerating every subset of its terms for FS and FP.
+:func:`verify_certificate` rechecks a found certificate from scratch, with FS
+and FP rebuilt by a set fold over the terms, so its cost follows |FS| + |FP|
+rather than 2^depth; the search runs it on each certificate it returns.
 """
 
 from __future__ import annotations
@@ -79,7 +85,8 @@ BRUTE_FORCE_CAP = 10_000_000
 # nodes counted so far; past it, listing is paid for by counted nodes alone
 LISTING_ALLOWANCE = 1024
 
-# verify_certificate enumerates 2^depth subsets; cap keeps hostile documents cheap
+# verification folds FS and FP term by term, so its cost follows |FS| + |FP|,
+# which is at most 2^depth each; the cap keeps hostile documents cheap
 VERIFY_DEPTH_CAP = 22
 
 
@@ -191,11 +198,33 @@ def _dilated(test, s: int):
     return lambda v: test(s * v)
 
 
-def _accept(test, fs: frozenset, fp: frozenset, y: int) -> tuple:
-    """Append y: the grown FS and FP, and queries of the compiled target ``test``
-    at just the sums, then the products, that y adds, each ascending."""
-    new_sums = {y, *(t + y for t in fs)} - fs
-    new_prods = {y, *(s * y for s in fp)} - fp
+def _exact(v: int) -> int:
+    return v
+
+
+def _residue_key(period: tuple[int, int] | None):
+    """The key the search keeps for a sum or product: the value itself, or,
+    for a target with eventual period (T, L), its representative in
+    [T+1..T+L] when it is larger than T.
+
+    Past T only the residue mod L decides membership: for v >= 1,
+    A(v+t) = A(v+key(t)) and A(s*v) = A(key(s)*v).  The key also commutes
+    with growing a sum or product, key(key(t)+y) = key(t+y) and
+    key(key(s)*y) = key(s*y), so keys can be folded in place of values.
+    """
+    if period is None:
+        return _exact
+    first, size = period[0] + 1, period[1]
+    return lambda v: v if v < first else first + (v - first) % size
+
+
+def _accept(test, fs: frozenset, fp: frozenset, y: int, key) -> tuple:
+    """Append y: the grown key sets of FS and FP, and queries of the compiled
+    target ``test`` at just the sum keys, then the product keys, that y adds,
+    each ascending.  ``key`` is a :func:`_residue_key`."""
+    y = key(y)
+    new_sums = {y, *(key(t + y) for t in fs)} - fs
+    new_prods = {y, *(key(s * y) for s in fp)} - fp
     tests = tuple(_shifted(test, t) for t in sorted(new_sums)) + tuple(
         _dilated(test, s) for s in sorted(new_prods)
     )
@@ -278,15 +307,13 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     path: list[tuple[int, ...]] = []
     in_target = target.predicate()
     period = eventual_period(target)
-    top = None
-    if period is not None:
-        first, size = period[0] + 1, period[1]
-        top = first + size - 1
+    key = _residue_key(period)
+    top = None if period is None else period[0] + period[1]
 
-        def lookup(members: frozenset):
-            # every stage constraint repeats with period L past T, so y > T+L
-            # is looked up at its representative in [T+1..T+L]
-            return lambda y: (y if y <= top else first + (y - first) % size) in members
+    def lookup(members: frozenset):
+        # every stage constraint repeats with period L past T, so y > T+L
+        # is looked up at its representative in [T+1..T+L]
+        return lambda y: key(y) in members
 
     def due(constraint: _Stage) -> int:
         """The node count from which listing the constraint's window members is paid for."""
@@ -342,7 +369,7 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
                 if stage == budget.depth:
                     return True
                 before = nodes
-                next_fs, next_fp, added = _accept(in_target, fs, fp, y)
+                next_fs, next_fp, added = _accept(in_target, fs, fp, y, key)
                 child = _Stage(constraint, added)
                 if extend(stage + 1, block[-1] + 1, next_fs, next_fp, child, tests + added):
                     return True
@@ -381,8 +408,22 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     return SearchOutcome(OutcomeKind.EXHAUSTED, None, nodes)
 
 
+def _folded_sums_and_products(ys) -> tuple[set[int], set[int]]:
+    """FS and FP of ``ys`` as set folds, FS' = FS u (FS+y) u {y} and FP' =
+    FP u (FP*y) u {y} per term; independent of :mod:`fsfp`."""
+    fs: set[int] = set()
+    fp: set[int] = set()
+    for y in ys:
+        fs |= {t + y for t in fs}
+        fs.add(y)
+        fp |= {s * y for s in fp}
+        fp.add(y)
+    return fs, fp
+
+
 def _subset_sums_and_products(ys) -> tuple[set[int], set[int]]:
-    """FS and FP of ``ys`` over every non-empty index subset; independent of :mod:`fsfp`."""
+    """FS and FP of ``ys`` over every non-empty index subset, for the brute-force
+    oracle; independent of :mod:`fsfp` and of the fold."""
     fs: set[int] = set()
     fp: set[int] = set()
     for r in range(1, len(ys) + 1):
@@ -449,7 +490,7 @@ def verification_failure(cert: Certificate) -> str | None:
     ys = tuple(sum(cert.x[i - 1] for i in block) for block in blocks)
     if ys != tuple(cert.ys):
         return f"recomputed block sums {ys} != recorded {tuple(cert.ys)}"
-    fs, fp = _subset_sums_and_products(ys)
+    fs, fp = _folded_sums_and_products(ys)
     if frozenset(fs) != cert.fs:
         return "recorded finite-sum set does not match recomputation"
     if frozenset(fp) != cert.fp:

@@ -188,11 +188,15 @@ class IdempotentOrder:
     minimal: frozenset[int]
 
 
-def idempotent_order(sg: FiniteSemigroup, order_cap: int | None = None) -> IdempotentOrder:
+def idempotent_order(
+    sg: FiniteSemigroup, order_cap: int | None = None, kernel: frozenset[int] | None = None
+) -> IdempotentOrder:
     """Compute the idempotent order and its minimal elements.
 
     Asserts the structural equivalence: an idempotent is order-minimal
-    exactly when it belongs to the kernel.
+    exactly when it belongs to the kernel.  ``kernel`` is the one
+    :func:`ideal_structure` gives, passed by a caller that has it already;
+    without it, it is computed here.
     """
     ids = idempotents(sg)
     leq = frozenset(
@@ -201,7 +205,8 @@ def idempotent_order(sg: FiniteSemigroup, order_cap: int | None = None) -> Idemp
     minimal = frozenset(
         e for e in ids if not any(f != e and (f, e) in leq for f in ids)
     )
-    kernel = ideal_structure(sg, order_cap).kernel
+    if kernel is None:
+        kernel = ideal_structure(sg, order_cap).kernel
     if minimal != ids & kernel:
         raise StructuralError(
             "minimal idempotents do not coincide with kernel idempotents"

@@ -316,6 +316,11 @@ def test_hindman_bad_coloring_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "hindman", "--coloring", str(bad), "--depth", "2")
     assert code == 2
     assert "missing" in err
+    # the gaps are read between sorted values, never listed up to the largest one
+    bad.write_text(f"1 0\n{10**12} 0\n")
+    code, out, err = run(capsys, "hindman", "--coloring", str(bad), "--depth", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: coloring is not total on [1..1000000000000]: missing [2, 3, 4, 5, 6]\n"
 
 
 def one_short_error(capsys, *argv):
@@ -393,6 +398,26 @@ def test_semigroup_reports(capsys, tmp_path):
     assert doc["kernel"] == [0, 1]
     assert doc["group_check"]["all_groups"] is True
     assert doc["product_formula"]["all_agree"] is True
+
+
+def test_semigroup_full_report_computes_ideals_once(capsys, tmp_path, monkeypatch):
+    from ipkit import cli, semigroup
+
+    calls = []
+
+    def counted(sg, order_cap=None, ideals=semigroup.ideal_structure):
+        calls.append(sg.order)
+        return ideals(sg, order_cap)
+
+    monkeypatch.setattr(cli, "ideal_structure", counted)
+    monkeypatch.setattr(semigroup, "ideal_structure", counted)
+    table = tmp_path / "t.txt"
+    # multiplication mod 6
+    table.write_text("6\n" + "".join(" ".join(str(a * b % 6) for b in range(6)) + "\n" for a in range(6)))
+    code, out, _ = run(capsys, "semigroup", "--table", str(table), "--report", "full")
+    assert code == 0
+    assert "kernel K: {0}" in out and "minimal idempotents: 0" in out
+    assert calls == [6]
 
 
 def test_semigroup_non_associative_exit_two(capsys, tmp_path):

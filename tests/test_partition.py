@@ -162,6 +162,11 @@ def test_parse_coloring():
     assert c2.colors == (1, 0, 1)
     with pytest.raises(InputError, match="missing"):
         parse_coloring("1 0\n3 0\n")
+    # the first five gaps, across several gaps and past values below 1
+    with pytest.raises(InputError, match=r"on \[1\.\.9\]: missing \[1, 3, 4, 6, 7\]$"):
+        parse_coloring("-4 0\n0 1\n2 0\n5 1\n9 0\n")
+    with pytest.raises(InputError, match=r"missing \[2, 3, 4, 5, 6\]$"):
+        parse_coloring("1 0\n1000000 0\n")
     with pytest.raises(InputError, match="twice"):
         parse_coloring("1 0\n1 1\n")
     with pytest.raises(InputError, match="expected 'value color'"):

@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fp_oracle, fs_oracle, random_spec
 from ipkit import search
@@ -176,22 +178,71 @@ def test_stage_constraint_is_exact():
 
 
 def test_incremental_constraint_matches_from_scratch():
-    """The tests the search accumulates stage by stage agree with stage_constraint."""
+    """The tests the search accumulates stage by stage agree with stage_constraint.
+
+    A target with an eventual period (T, L) keeps each sum and product as
+    v up to T and T+1+((v-T-1) mod L) above; a bits target keeps exact values.
+    """
     rng = random.Random(17)
-    for _ in range(30):
+    kinds = collections.Counter()
+    for i in range(40):
         target = random_spec(rng)
+        if i % 4 == 3:
+            bits = Bitmap(frozenset(rng.sample(range(1, 100), 20)), 10**7)
+            target = Union((target, bits))
+        period = eventual_period(target)
+        T, L = period or (None, None)
+
+        def red(v):
+            return v if period is None or v <= T else T + 1 + (v - T - 1) % L
+
+        kinds[period is None] += 1
         test = target.predicate()
         fs, fp, tests = frozenset(), frozenset(), (test,)
         ys = ()
         for _ in range(3):
             y = rng.randint(1, 15)
-            fs, fp, added = _accept(test, fs, fp, y)
+            fs, fp, added = _accept(test, fs, fp, y, search._residue_key(period))
             tests += added
             ys += (y,)
-            assert (fs, fp) == (finite_sums(ys), finite_products(ys))
+            # one test per key, after the target itself
+            assert len(tests) == 1 + len(fs) + len(fp)
+            assert fs == {red(v) for v in finite_sums(ys)}
+            assert fp == {red(v) for v in finite_products(ys)}
             rebuilt = stage_constraint(state_of(ys), target)
             for v in range(1, 300):
                 assert all(test(v) for test in tests) == rebuilt.contains(v), (ys, v)
+    assert min(kinds.values()) >= 10 and len(kinds) == 2, kinds
+
+
+def test_deep_search_keeps_one_test_per_residue_key(monkeypatch):
+    """Every multiple of 6 has key 6 under (T, L) = (3, 6), so a depth-18 path
+    holds one sum test and one product test, where exact values need thousands."""
+    x, budget = tuple(range(1, 321)), SearchBudget(depth=18, window=300)
+    target = parse_spec("and(mod(6,0),geq(3))")
+    T, L = eventual_period(target)
+    built = collections.Counter()
+
+    def counted(name):
+        make = getattr(search, name)
+
+        def counted_make(test, v):
+            built[name] += 1
+            return make(test, v)
+
+        monkeypatch.setattr(search, name, counted_make)
+
+    counted("_shifted")
+    counted("_dilated")
+    keyed = search_subsystem(x, target, budget)
+    assert keyed.kind is OutcomeKind.FOUND
+    assert 0 < sum(built.values()) <= 2 * (T + L), built
+    built.clear()
+    with monkeypatch.context() as m:
+        m.setattr(search, "eventual_period", lambda spec: None)
+        exact = search_subsystem(x, target, budget)
+    assert sum(built.values()) > 1000, built
+    assert (keyed.kind, keyed.nodes, keyed.certificate) == (exact.kind, exact.nodes, exact.certificate)
 
 
 def test_search_compiles_target_once_and_no_preimage(monkeypatch):
@@ -383,6 +434,23 @@ def test_found_at_depth_implies_found_below():
         assert out.kind is OutcomeKind.FOUND, depth
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        # small terms: many subset sums and products collide
+        st.lists(st.integers(1, 4), min_size=1, max_size=12),
+        # 2^(2^k): no two subsets share a sum or a product
+        st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True).map(
+            lambda ks: [2 ** 2**k for k in ks]
+        ),
+    )
+)
+def test_fold_matches_subset_enumeration(ys):
+    fs, fp = search._folded_sums_and_products(ys)
+    assert (fs, fp) == search._subset_sums_and_products(ys)
+    assert (fs, fp) == (fs_oracle(ys), fp_oracle(ys))
+
+
 def test_brute_force_examples():
     budget = SearchBudget(depth=2, window=8, max_block=4)
     x = tuple(range(1, 9))
@@ -433,6 +501,24 @@ def test_verify_tampered_fs():
     cert = replace(good, fs=good.fs | {13})
     assert not verify_certificate(cert)
     assert "finite-sum" in verification_failure(cert)
+
+
+@pytest.mark.parametrize(
+    "field, change, message",
+    [
+        ("ys", lambda c: c.ys[:-1] + (c.ys[-1] + 6,), "recomputed block sums"),
+        ("fs", lambda c: c.fs - {max(c.fs)}, "recorded finite-sum set does not match recomputation"),
+        ("fp", lambda c: c.fp | {7}, "recorded finite-product set does not match recomputation"),
+        ("spec_text", lambda c: "mod(12,0)", "element 6 of FS u FP is not in the target set"),
+    ],
+)
+def test_verify_deep_tampered_certificate(field, change, message):
+    good = search_subsystem(
+        tuple(range(1, 321)), parse_spec("and(mod(6,0),geq(3))"), SearchBudget(depth=12, window=300)
+    ).certificate
+    assert verification_failure(good) is None
+    failure = verification_failure(replace(good, **{field: change(good)}))
+    assert failure is not None and failure.startswith(message), failure
 
 
 def test_verify_membership_failure_names_element():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ideals_oracle
 from ipkit import semigroup
-from ipkit.errors import AssociativityError, InputError, RefusalError
+from ipkit.errors import AssociativityError, InputError, RefusalError, StructuralError
 from ipkit.semigroup import (
     FiniteSemigroup,
     _compose_closure,
@@ -249,6 +249,11 @@ def test_minimality_link_across_corpus():
         order = idempotent_order(sg)  # raises internally if the link fails
         kernel = ideal_structure(sg).kernel
         assert order.minimal == order.idempotents & kernel
+        # a caller's kernel stands in for the computed one and is checked alike
+        assert idempotent_order(sg, kernel=kernel) == order
+        if order.minimal != order.idempotents:
+            with pytest.raises(StructuralError, match="kernel idempotents"):
+                idempotent_order(sg, kernel=frozenset(range(sg.order)))
 
 
 def test_group_check_examples():
