@@ -159,6 +159,8 @@ def parse_coloring(text: str) -> Coloring:
             value, color = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputError(f"coloring line {lineno}: non-integer field in {shown(line)}") from None
+        if value < 1:
+            raise InputError(f"coloring line {lineno}: value {shown(value)} is below 1")
         if value in assignment:
             raise InputError(f"coloring line {lineno}: value {shown(value)} colored twice")
         assignment[value] = color

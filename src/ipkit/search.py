@@ -30,13 +30,16 @@ products by key: the value itself up to T, its representative in [T+1..T+L]
 above.  Values with one key make the same test, so a path holds at most
 2(T+L) tests however deep it goes; such a target never raises, so the order
 of its tests does not matter.  A stage's members in the period window
-[1..T+L] may also be listed, filtered from its nearest listed ancestor's.  A
-listed stage costs one lookup per candidate, at its representative in
-[T+1..T+L] when the candidate is larger.  An empty one is not scanned: its
-remaining candidates are counted in closed form, clamped at the node limit
-exactly as the scan would stop.  A stage is listed only once the nodes
-counted so far pay for the target queries listing costs, so all listings
-together spend at most nodes + ``LISTING_ALLOWANCE`` queries.  A lookup
+[1..T+L] may also be listed: the search carries down the members of the
+nearest listed stage on its path and the tests added since, and filters the
+one through the other.  A listed stage costs one lookup per candidate, at
+its representative in [T+1..T+L] when the candidate is larger.  An empty one
+is not scanned: its remaining candidates are counted in closed form, clamped
+at the node limit exactly as the scan would stop.  A stage is listed, on
+entry or mid-scan, only once the nodes counted so far pay for the target
+queries listing costs, so all listings together spend at most nodes +
+``LISTING_ALLOWANCE`` queries; listings below a stage raise that spending,
+so the node count its listing waits for is rechecked when reached.  A lookup
 stands in for a prefix of the tests, so listing never makes more than nodes
 + ``LISTING_ALLOWANCE`` target queries (one per test run) beyond what the
 unlisted tests would, and never changes node counts, outcomes or
@@ -47,7 +50,8 @@ exhausting and node-limited searches over small periods.
 incremental state, enumerating every subset of its terms for FS and FP.
 :func:`verify_certificate` rechecks a found certificate from scratch, with FS
 and FP rebuilt by a set fold over the terms, so its cost follows |FS| + |FP|
-rather than 2^depth; the search runs it on each certificate it returns.
+rather than 2^depth, and tested by the compiled target of the re-parsed
+spec; the search runs it on each certificate it returns.
 """
 
 from __future__ import annotations
@@ -231,43 +235,16 @@ def _accept(test, fs: frozenset, fp: frozenset, y: int, key) -> tuple:
     return fs | new_sums, fp | new_prods, tests
 
 
-class _Stage:
-    """A stage constraint: its parent's, narrowed by the tests its accepted term added.
-
-    ``members`` is None until the constraint's members in the period window
-    [1..T+L] are listed.
-    """
-
-    __slots__ = ("parent", "tests", "members")
-
-    def __init__(self, parent: _Stage | None, tests: tuple):
-        self.parent, self.tests, self.members = parent, tests, None
-
-
-def _listing_cost(stage: _Stage | None, top: int) -> tuple[int, int]:
-    """At most how many target queries listing ``stage``'s members in [1..top]
-    costs, and at most how many members it has there."""
-    if stage is None:
-        return 0, top
-    if stage.members is not None:
-        return 0, len(stage.members)
-    cost, pool = _listing_cost(stage.parent, top)
-    return cost + pool * len(stage.tests), pool
-
-
-def _listed(stage: _Stage, top: int) -> frozenset:
-    """``stage``'s members in [1..top], filtered from its nearest listed ancestor's and kept."""
-    if stage.members is None:
-        pool = range(1, top + 1) if stage.parent is None else _listed(stage.parent, top)
-        members = []
-        for v in pool:
-            for test in stage.tests:
-                if not test(v):
-                    break
-            else:
-                members.append(v)
-        stage.members = frozenset(members)
-    return stage.members
+def _filtered(pool, tests: tuple) -> frozenset:
+    """The values of ``pool`` that pass every test, each run in order until one fails."""
+    members = []
+    for v in pool:
+        for test in tests:
+            if not test(v):
+                break
+        else:
+            members.append(v)
+    return frozenset(members)
 
 
 def _block_count(n: int, max_block: int) -> int:
@@ -315,21 +292,26 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
         # is looked up at its representative in [T+1..T+L]
         return lambda y: key(y) in members
 
-    def due(constraint: _Stage) -> int:
-        """The node count from which listing the constraint's window members is paid for."""
+    def cost(members: frozenset | None, since: tuple) -> int:
+        """At most how many target queries listing a stage costs: its pool
+        times the tests it is filtered through."""
+        return (top if members is None else len(members)) * len(since)
+
+    def due(members: frozenset | None, since: tuple) -> int:
+        """The node count from which listing a stage's window members is paid for."""
         if top is None:
             return budget.node_limit
-        cost = _listing_cost(constraint, top)[0]
-        return min(budget.node_limit, spent + cost - LISTING_ALLOWANCE)
+        return min(budget.node_limit, spent + cost(members, since) - LISTING_ALLOWANCE)
 
-    def list_members(constraint: _Stage, lo: int, tested: int) -> tuple | None:
-        """Tests that look up the constraint's listed window members; None
-        once an empty stage's remaining candidates are counted as the loop
-        would test them."""
+    def list_members(members: frozenset | None, since: tuple, lo: int, tested: int):
+        """The stage's window members, filtered from ``members`` (or [1..T+L])
+        through ``since``; None once an empty stage's remaining candidates
+        are counted as the loop would test them."""
         nonlocal nodes, limit_hit, spent
-        spent += _listing_cost(constraint, top)[0]
-        if _listed(constraint, top):
-            return (lookup(constraint.members),)
+        spent += cost(members, since)
+        members = _filtered(range(1, top + 1) if members is None else members, since)
+        if members:
+            return members
         rest = _block_count(budget.window - lo + 1, budget.max_block) - tested
         if nodes + rest <= budget.node_limit:
             nodes += rest
@@ -338,26 +320,27 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
         return None
 
     def extend(
-        stage: int, lo: int, fs: frozenset, fp: frozenset, constraint: _Stage, tests: tuple
+        stage: int, lo: int, fs: frozenset, fp: frozenset, members: frozenset | None, since: tuple
     ) -> bool:
-        # tests: a lookup in the nearest listed members, if any, then the
-        # tests added below them, starting from the compiled target
+        # members: the window members of the nearest listed stage on the path,
+        # or None; since: the tests added below it, from the compiled target
         nonlocal nodes, limit_hit
-        # nodes - base: the candidates this visit has tested
-        base = nodes
-        stop = due(constraint)
+        tests = since if members is None else (lookup(members), *since)
+        stop = due(members, since)
         if stop <= nodes < budget.node_limit:
-            tests, stop = list_members(constraint, lo, 0), budget.node_limit
-            if tests is None:
+            if (members := list_members(members, since, lo, 0)) is None:
                 return False
-        for block in iter_blocks(lo, budget.window, budget.max_block):
-            if nodes >= stop:
+            since, tests, stop = (), (lookup(members),), budget.node_limit
+        # tested: the candidates this visit has tested before this one
+        for tested, block in enumerate(iter_blocks(lo, budget.window, budget.max_block)):
+            # listings in the subtree raise spent and so the stop: recheck it when reached
+            if nodes >= stop and nodes >= (stop := due(members, since)):
                 if nodes >= budget.node_limit:
                     limit_hit = True
                     return False
-                tests, stop = list_members(constraint, lo, nodes - base), budget.node_limit
-                if tests is None:
+                if (members := list_members(members, since, lo, tested)) is None:
                     return False
+                since, tests, stop = (), (lookup(members),), budget.node_limit
             nodes += 1
             y = sum(terms[i - 1] for i in block)
             # all() over tests, as a loop: a generator per node costs more than one test
@@ -368,27 +351,15 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
                 path.append(block)
                 if stage == budget.depth:
                     return True
-                before = nodes
                 next_fs, next_fp, added = _accept(in_target, fs, fp, y, key)
-                child = _Stage(constraint, added)
-                if extend(stage + 1, block[-1] + 1, next_fs, next_fp, child, tests + added):
+                if extend(stage + 1, block[-1] + 1, next_fs, next_fp, members, since + added):
                     return True
                 if limit_hit:
                     return False
                 path.pop()
-                base += nodes - before
-                # stop is the node limit once this visit has listed the
-                # stage, or when no listing in the subtree could be paid for
-                if stop < budget.node_limit:
-                    if constraint.members is None:
-                        stop = due(constraint)
-                    else:
-                        # listed by the subtree
-                        tests, stop = (lookup(constraint.members),), budget.node_limit
         return False
 
-    found = extend(1, 1, frozenset(), frozenset(), _Stage(None, (in_target,)), (in_target,))
-    if found:
+    if extend(1, 1, frozenset(), frozenset(), None, (in_target,)):
         blocks = tuple(path)
         ys = tuple(sum(terms[i - 1] for i in block) for block in blocks)
         cert = Certificate(
@@ -487,6 +458,7 @@ def verification_failure(cert: Certificate) -> str | None:
             raise StructuralError(
                 f"block index {block[-1]} outside recorded window of length {len(cert.x)}"
             )
+    _check_terms(cert.x, what="recorded sequence terms")
     ys = tuple(sum(cert.x[i - 1] for i in block) for block in blocks)
     if ys != tuple(cert.ys):
         return f"recomputed block sums {ys} != recorded {tuple(cert.ys)}"
@@ -495,8 +467,10 @@ def verification_failure(cert: Certificate) -> str | None:
         return "recorded finite-sum set does not match recomputation"
     if frozenset(fp) != cert.fp:
         return "recorded finite-product set does not match recomputation"
+    # the terms are integers >= 1, so are FS and FP: the compiled target needs no checks
+    in_target = target.predicate()
     for v in sorted(fs | fp):
-        if not target.contains(v):
+        if not in_target(v):
             return f"element {v} of FS u FP is not in the target set"
     return None
 

@@ -323,6 +323,18 @@ def test_hindman_bad_coloring_exit_two(capsys, tmp_path):
     assert err == "error: coloring is not total on [1..1000000000000]: missing [2, 3, 4, 5, 6]\n"
 
 
+def test_hindman_coloring_value_below_one_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 0\n2 0\n-5 3\n0 1\n")
+    code, out, err = run(capsys, "hindman", "--coloring", str(bad), "--depth", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: coloring line 3: value -5 is below 1\n"
+    bad.write_text("0 1\n1 0\n2 0\n")
+    assert one_short_error(capsys, "hindman", "--coloring", str(bad), "--depth", "1") == (
+        "error: coloring line 1: value 0 is below 1\n"
+    )
+
+
 def one_short_error(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, ""), argv[:3]

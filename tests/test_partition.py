@@ -162,9 +162,12 @@ def test_parse_coloring():
     assert c2.colors == (1, 0, 1)
     with pytest.raises(InputError, match="missing"):
         parse_coloring("1 0\n3 0\n")
-    # the first five gaps, across several gaps and past values below 1
+    # the first five gaps, across several gaps
     with pytest.raises(InputError, match=r"on \[1\.\.9\]: missing \[1, 3, 4, 6, 7\]$"):
-        parse_coloring("-4 0\n0 1\n2 0\n5 1\n9 0\n")
+        parse_coloring("2 0\n5 1\n9 0\n")
+    # values below 1 are refused, not skipped
+    with pytest.raises(InputError, match=r"^coloring line 2: value 0 is below 1$"):
+        parse_coloring("2 0\n0 1\n5 1\n9 0\n-4 0\n")
     with pytest.raises(InputError, match=r"missing \[2, 3, 4, 5, 6\]$"):
         parse_coloring("1 0\n1000000 0\n")
     with pytest.raises(InputError, match="twice"):

@@ -261,11 +261,21 @@ def test_search_compiles_target_once_and_no_preimage(monkeypatch):
         counted(cls, "built", "__post_init__")
         counted(cls, "compiled", "predicate")
     counted(Bitmap, "bitmaps", "predicate")
+    # the counts when the search hands its certificate to the self-check,
+    # which compiles the target it re-parses once more
+    searched = []
+
+    def recorded_check(cert, check=search.verification_failure):
+        searched.append(dict(counts))
+        return check(cert)
+
+    monkeypatch.setattr(search, "verification_failure", recorded_check)
     x, budget = tuple(range(1, 200)), SearchBudget(depth=8, window=150)
     # the same set as and(mod(6,0),geq(3)), with no eventual period
     guarded = search_subsystem(x, parse_spec("and(mod(6,0),or(geq(3),bits(1; 2)))"), budget)
     assert guarded.kind is OutcomeKind.FOUND
-    assert counts == {"built": 0, "compiled": 0, "bitmaps": 1}
+    assert searched == [{"built": 0, "compiled": 0, "bitmaps": 1}]
+    assert counts == {"built": 0, "compiled": 0, "bitmaps": 2}
     counts.update(bitmaps=0)
     out = search_subsystem(x, parse_spec("and(mod(6,0),geq(3))"), budget)
     assert counts == {"built": 0, "compiled": 0, "bitmaps": 0}
@@ -409,6 +419,92 @@ def test_wide_period_found_quickly_lists_nothing(monkeypatch):
     _on_both_paths(monkeypatch, x, target.child.child, budget)
 
 
+def _listing_overdraft(monkeypatch, x, spec, budget, allowance):
+    """The search's outcome, and the most that its listings spent, at any
+    listing, beyond nodes + ``allowance``.
+
+    A listing is priced as the search prices it: its pool times the tests it
+    filters through.  Nodes are the blocks ``iter_blocks`` has yielded plus
+    the candidates each skip counted in closed form, which is the search's own
+    count, or one more while a scan is listing.
+    """
+    seen = [0]
+    # [lo, blocks yielded] of each running enumeration, innermost last
+    running = []
+    spent = [0]
+    worst = [float("-inf")]
+
+    def counted_blocks(lo, hi, max_block, blocks=search.iter_blocks):
+        enumeration = [lo, 0]
+        running.append(enumeration)
+        try:
+            for block in blocks(lo, hi, max_block):
+                enumeration[1] += 1
+                seen[0] += 1
+                yield block
+        finally:
+            running.remove(enumeration)
+
+    def counted_skip(n, max_block, count=search._block_count):
+        # the skipped stage's candidates, less those its own scan already yielded
+        total = count(n, max_block)
+        scanned = running[-1][1] if running and running[-1][0] == budget.window - n + 1 else 0
+        seen[0] += total - scanned
+        return total
+
+    def priced_filter(pool, tests, filtered=search._filtered):
+        pool = tuple(pool)
+        spent[0] += len(pool) * len(tests)
+        worst[0] = max(worst[0], spent[0] - seen[0] - allowance)
+        return filtered(pool, tests)
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "LISTING_ALLOWANCE", allowance)
+        m.setattr(search, "iter_blocks", counted_blocks)
+        m.setattr(search, "_block_count", counted_skip)
+        m.setattr(search, "_filtered", priced_filter)
+        out = search_subsystem(x, spec, budget)
+    if out.kind is not OutcomeKind.NODE_LIMIT:
+        assert seen[0] == out.nodes
+    return out, worst[0]
+
+
+def test_listing_rechecks_a_stale_stop_when_reached(monkeypatch):
+    """A stage's stop, computed on entry, grows as its subtree lists.  Listing
+    at the stale stop would price 73 queries here at 65 nodes."""
+    x, budget = tuple(range(1, 15)), SearchBudget(depth=4, window=14, max_block=2)
+    spec = parse_spec("and(not(mod(7,0)),geq(10))")
+    assert _listing_overdraft(monkeypatch, x, spec, budget, 0)[1] <= 0
+    rng = random.Random(31)
+    listed, kinds = 0, collections.Counter()
+    for _ in range(400):
+        n = rng.randint(4, 16)
+        budget = SearchBudget(
+            depth=rng.randint(1, 5),
+            window=n,
+            max_block=rng.randint(1, 3),
+            node_limit=rng.choice((10**6, rng.randint(1, 500))),
+        )
+        spec = random_spec(rng, depth=rng.randint(0, 3))
+        for allowance in (0, rng.randint(1, 50)):
+            x = tuple(range(1, n + 1))
+            out, overdraft = _listing_overdraft(monkeypatch, x, spec, budget, allowance)
+            assert overdraft <= 0, (render_spec(spec), budget, allowance)
+            listed += overdraft > float("-inf")
+            kinds[out.kind] += 1
+    assert listed > 300 and min(kinds.values()) > 50, (listed, kinds)
+
+
+def test_empty_stages_listed_mid_scan_reach_the_node_limit_cheaply():
+    """Odd + odd is even, so every stage 2 is empty; once the nodes pay for
+    listing stage 2 of a term, its remaining candidates are skipped."""
+    x, budget = tuple(range(1, 301)), SearchBudget(depth=2, window=300)
+    target, queries = _counted(parse_spec("and(not(mod(2,0)),not(mod(1999,0)))"))
+    out = search_subsystem(x, target, budget)
+    assert (out.kind, out.nodes) == (OutcomeKind.NODE_LIMIT, 10**6)
+    assert queries[0] < 50_000
+
+
 def test_determinism():
     budget = SearchBudget(depth=3, window=32)
     a = search_subsystem(NAT32, MOD6, budget)
@@ -526,6 +622,21 @@ def test_verify_membership_failure_names_element():
     cert = replace(good, spec_text="mod(12,0)")
     failure = verification_failure(cert)
     assert failure == "element 6 of FS u FP is not in the target set"
+
+
+def test_verify_checks_terms_and_bitmap_bounds():
+    good = _found_cert()
+    # blocks ((1, 2, 3), (6,)) still sum to the recorded ys (0, 6)
+    bad_terms = replace(good, x=(1, -1, 0) + good.x[3:], ys=(0, 6), fs=frozenset({0, 6}), fp=frozenset({0, 6}))
+    with pytest.raises(InputError, match="recorded sequence terms must be >= 1, got -1"):
+        verification_failure(bad_terms)
+    # FS u FP = {6, 12, 36}: the first value past the bound is the one named
+    bitmap = "bits(6 12; 20)"
+    with pytest.raises(DomainBoundError) as interpreted:
+        parse_spec(bitmap).contains(36)
+    with pytest.raises(DomainBoundError) as raised:
+        verification_failure(replace(good, spec_text=bitmap))
+    assert str(raised.value) == str(interpreted.value)
 
 
 def test_verify_structural_errors():
