@@ -119,27 +119,16 @@ def hindman_document(
     result: tuple[int, FsWitness] | None, depth: int, bound: int, palette: int
 ) -> dict:
     """Document a finite Hindman search over a concrete coloring."""
-    if result is None:
-        payload = {
-            "depth": depth,
-            "bound": bound,
-            "palette": palette,
-            "outcome": "none",
-            "color": None,
-            "terms": None,
-            "fs": None,
-        }
-    else:
-        color, witness = result
-        payload = {
-            "depth": depth,
-            "bound": bound,
-            "palette": palette,
-            "outcome": "found",
-            "color": color,
-            "terms": _decimals(witness.terms),
-            "fs": _sorted_decimals(witness.fs),
-        }
+    color, witness = result or (None, None)
+    payload = {
+        "depth": depth,
+        "bound": bound,
+        "palette": palette,
+        "outcome": "found" if witness is not None else "none",
+        "color": color,
+        "terms": _decimals(witness.terms) if witness is not None else None,
+        "fs": _sorted_decimals(witness.fs) if witness is not None else None,
+    }
     return make_document(KIND_HINDMAN, payload)
 
 

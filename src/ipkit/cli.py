@@ -39,12 +39,12 @@ from .search import (
     verification_failure,
 )
 from .semigroup import (
+    _product_formula_sweep,
     group_check,
     ideal_structure,
     idempotent_order,
     idempotents,
     parse_table,
-    product_formula_check,
 )
 from .setspec import dilation_preimage, parse_spec, render_spec
 
@@ -234,32 +234,6 @@ def _resolve_order_cap(args) -> int | None:
 
 def _format_sets(sets) -> str:
     return " ".join("{" + ",".join(str(v) for v in sorted(s)) + "}" for s in sets)
-
-
-def _product_formula_sweep(sg, rng_seed: int = 7, samples: int = 2000):
-    """Exhaustive (p,q,A) sweep at small order, seeded sample otherwise."""
-    import random
-    from itertools import combinations
-
-    n = sg.order
-    if n <= 8:
-        checked = 0
-        for p in sg.elements:
-            for q in sg.elements:
-                for r in range(n + 1):
-                    for subset in combinations(range(n), r):
-                        if not product_formula_check(sg, p, q, subset):
-                            return checked, True, False
-                        checked += 1
-        return checked, True, True
-    rng = random.Random(rng_seed)
-    for i in range(samples):
-        p = rng.randrange(n)
-        q = rng.randrange(n)
-        subset = [v for v in range(n) if rng.random() < 0.5]
-        if not product_formula_check(sg, p, q, subset):
-            return i + 1, False, False
-    return samples, False, True
 
 
 def _cmd_semigroup(args) -> int:

@@ -17,7 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, StructuralError
+from .errors import InputError, RefusalError, StructuralError
+
+# a fold refuses past this many values, the most a depth-22 certificate holds:
+# each term can double the set, so an unbounded fold only ends out of memory
+FOLD_CAP = 2**22 - 1
 
 
 def _check_terms(terms, what: str = "terms") -> None:
@@ -35,9 +39,11 @@ def finite_sums(ys) -> frozenset[int]:
     ys = tuple(ys)
     _check_terms(ys)
     acc: set[int] = set()
-    for y in ys:
+    for n, y in enumerate(ys, start=1):
         acc |= {t + y for t in acc}
         acc.add(y)
+        if len(acc) > FOLD_CAP:
+            raise RefusalError(f"fold refused: FS of {n} terms exceeds {FOLD_CAP} values")
     return frozenset(acc)
 
 
@@ -46,9 +52,11 @@ def finite_products(ys) -> frozenset[int]:
     ys = tuple(ys)
     _check_terms(ys)
     acc: set[int] = set()
-    for y in ys:
+    for n, y in enumerate(ys, start=1):
         acc |= {s * y for s in acc}
         acc.add(y)
+        if len(acc) > FOLD_CAP:
+            raise RefusalError(f"fold refused: FP of {n} terms exceeds {FOLD_CAP} values")
     return frozenset(acc)
 
 

@@ -49,9 +49,11 @@ exhausting and node-limited searches over small periods.
 :func:`brute_force_subsystem` re-derives the answer with no pruning and no
 incremental state, enumerating every subset of its terms for FS and FP.
 :func:`verify_certificate` rechecks a found certificate from scratch, with FS
-and FP rebuilt by a set fold over the terms, so its cost follows |FS| + |FP|
-rather than 2^depth, and tested by the compiled target of the re-parsed
-spec; the search runs it on each certificate it returns.
+and FP rebuilt by the set fold of :mod:`fsfp`, so its cost follows |FS| +
+|FP| rather than 2^depth, and tested by the compiled target of the re-parsed
+spec.  The search folds FS and FP once for each certificate it returns and
+rechecks only what a search bug could break: the block order, every value of
+FS u FP against the re-parsed spec, and the budget.
 """
 
 from __future__ import annotations
@@ -362,15 +364,12 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     if extend(1, 1, frozenset(), frozenset(), None, (in_target,)):
         blocks = tuple(path)
         ys = tuple(sum(terms[i - 1] for i in block) for block in blocks)
-        cert = Certificate(
-            x=terms[: blocks[-1][-1]],
-            blocks=blocks,
-            ys=ys,
-            fs=finite_sums(ys),
-            fp=finite_products(ys),
-            spec_text=spec_text,
-        )
-        failure = verification_failure(cert) or budget_failure(cert, budget, nodes)
+        fs, fp = finite_sums(ys), finite_products(ys)
+        cert = Certificate(terms[: blocks[-1][-1]], blocks, ys, fs, fp, spec_text)
+        # x, ys, FS and FP hold by construction: recheck what a search bug can break
+        check_block_order(blocks)
+        failure = membership_failure(parse_spec(spec_text), fs, fp)
+        failure = failure or budget_failure(cert, budget, nodes)
         if failure is not None:
             raise StructuralError(f"search produced a bad certificate: {failure}")
         return SearchOutcome(OutcomeKind.FOUND, replace(cert, verified=True), nodes)
@@ -379,22 +378,9 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     return SearchOutcome(OutcomeKind.EXHAUSTED, None, nodes)
 
 
-def _folded_sums_and_products(ys) -> tuple[set[int], set[int]]:
-    """FS and FP of ``ys`` as set folds, FS' = FS u (FS+y) u {y} and FP' =
-    FP u (FP*y) u {y} per term; independent of :mod:`fsfp`."""
-    fs: set[int] = set()
-    fp: set[int] = set()
-    for y in ys:
-        fs |= {t + y for t in fs}
-        fs.add(y)
-        fp |= {s * y for s in fp}
-        fp.add(y)
-    return fs, fp
-
-
 def _subset_sums_and_products(ys) -> tuple[set[int], set[int]]:
     """FS and FP of ``ys`` over every non-empty index subset, for the brute-force
-    oracle; independent of :mod:`fsfp` and of the fold."""
+    oracle; independent of the fold in :mod:`fsfp`."""
     fs: set[int] = set()
     fp: set[int] = set()
     for r in range(1, len(ys) + 1):
@@ -462,12 +448,17 @@ def verification_failure(cert: Certificate) -> str | None:
     ys = tuple(sum(cert.x[i - 1] for i in block) for block in blocks)
     if ys != tuple(cert.ys):
         return f"recomputed block sums {ys} != recorded {tuple(cert.ys)}"
-    fs, fp = _folded_sums_and_products(ys)
-    if frozenset(fs) != cert.fs:
+    fs, fp = finite_sums(ys), finite_products(ys)
+    if fs != cert.fs:
         return "recorded finite-sum set does not match recomputation"
-    if frozenset(fp) != cert.fp:
+    if fp != cert.fp:
         return "recorded finite-product set does not match recomputation"
-    # the terms are integers >= 1, so are FS and FP: the compiled target needs no checks
+    return membership_failure(target, fs, fp)
+
+
+def membership_failure(target: SetSpec, fs: frozenset, fp: frozenset) -> str | None:
+    """The first value of sorted FS u FP outside ``target``, as a failure, or None."""
+    # FS and FP hold integers >= 1: the compiled target needs no checks
     in_target = target.predicate()
     for v in sorted(fs | fp):
         if not in_target(v):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .errors import AssociativityError, InputError, RefusalError, StructuralError, shown
 
@@ -273,6 +273,32 @@ def product_formula_check(sg: FiniteSemigroup, p: int, q: int, members) -> bool:
     pullback = frozenset(x for x in sg.elements if sg.mul(x, q) in subset)
     right_side = p in pullback
     return left_side == right_side
+
+
+def _product_formula_sweep(sg: FiniteSemigroup, rng_seed: int = 7, samples: int = 2000):
+    """Exhaustive (p,q,A) sweep at small order, seeded sample otherwise.
+
+    Returns (cases checked, exhaustive, all agree).
+    """
+    n = sg.order
+    if n <= 8:
+        checked = 0
+        for p in sg.elements:
+            for q in sg.elements:
+                for r in range(n + 1):
+                    for subset in combinations(range(n), r):
+                        if not product_formula_check(sg, p, q, subset):
+                            return checked, True, False
+                        checked += 1
+        return checked, True, True
+    rng = random.Random(rng_seed)
+    for i in range(samples):
+        p = rng.randrange(n)
+        q = rng.randrange(n)
+        subset = [v for v in range(n) if rng.random() < 0.5]
+        if not product_formula_check(sg, p, q, subset):
+            return i + 1, False, False
+    return samples, False, True
 
 
 # -- corpus ------------------------------------------------------------------

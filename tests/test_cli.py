@@ -388,6 +388,20 @@ def test_long_arguments_and_input_lines_print_short_errors(capsys, tmp_path):
         assert message in one_short_error(capsys, "semigroup", "--table", str(table))
 
 
+def test_fs_fp_past_the_fold_cap_exit_two(capsys, monkeypatch):
+    from ipkit import fsfp
+
+    monkeypatch.setattr(fsfp, "FOLD_CAP", 6)
+    # the cap counts values, not subsets: nat:3 has 7 subsets and 6 sums
+    assert run(capsys, "fs", "--seq", "nat:3")[:2] == (0, "FS (6 values): 1 2 3 4 5 6\n")
+    for argv, message in (
+        (("fs", "--seq", "pow:2:8"), "fold refused: FS of 3 terms exceeds 6 values"),
+        # products of powers of 2 collide: 2, 4, 8 give 6 values
+        (("fp", "--seq", "pow:2:8"), "fold refused: FP of 4 terms exceeds 6 values"),
+    ):
+        assert message in one_short_error(capsys, *argv), argv
+
+
 def test_semigroup_reports(capsys, tmp_path):
     table = tmp_path / "t.txt"
     table.write_text("2\n0 0\n1 1\n")  # left zero

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fp_oracle, fs_oracle, random_spec
-from ipkit import search
+from ipkit import fsfp, search
 from ipkit.errors import DomainBoundError, InputError, RefusalError, StructuralError
 from ipkit.fsfp import EMPTY_STATE, finite_products, finite_sums, state_of
 from ipkit.search import (
@@ -261,15 +261,15 @@ def test_search_compiles_target_once_and_no_preimage(monkeypatch):
         counted(cls, "built", "__post_init__")
         counted(cls, "compiled", "predicate")
     counted(Bitmap, "bitmaps", "predicate")
-    # the counts when the search hands its certificate to the self-check,
-    # which compiles the target it re-parses once more
+    # the counts when the search hands FS and FP to the self-check's
+    # membership test, which compiles the target it re-parses once more
     searched = []
 
-    def recorded_check(cert, check=search.verification_failure):
+    def recorded_check(target, fs, fp, check=search.membership_failure):
         searched.append(dict(counts))
-        return check(cert)
+        return check(target, fs, fp)
 
-    monkeypatch.setattr(search, "verification_failure", recorded_check)
+    monkeypatch.setattr(search, "membership_failure", recorded_check)
     x, budget = tuple(range(1, 200)), SearchBudget(depth=8, window=150)
     # the same set as and(mod(6,0),geq(3)), with no eventual period
     guarded = search_subsystem(x, parse_spec("and(mod(6,0),or(geq(3),bits(1; 2)))"), budget)
@@ -542,7 +542,7 @@ def test_found_at_depth_implies_found_below():
     )
 )
 def test_fold_matches_subset_enumeration(ys):
-    fs, fp = search._folded_sums_and_products(ys)
+    fs, fp = finite_sums(ys), finite_products(ys)
     assert (fs, fp) == search._subset_sums_and_products(ys)
     assert (fs, fp) == (fs_oracle(ys), fp_oracle(ys))
 
@@ -647,6 +647,53 @@ def test_verify_structural_errors():
         verification_failure(replace(good, blocks=((1, 2, 3), (99,))))
     with pytest.raises(StructuralError, match="no blocks"):
         verification_failure(replace(good, blocks=(), ys=()))
+
+
+def test_self_check_fails_a_search_that_skips_sums_and_products(monkeypatch):
+    # a stage that adds no tests accepts (1,) then (3,), whose sum 4 is even
+    monkeypatch.setattr(search, "_accept", lambda test, fs, fp, y, key: (fs, fp, ()))
+    with pytest.raises(StructuralError) as raised:
+        search_subsystem(range(1, 40), parse_spec("not(mod(2,0))"), SearchBudget(depth=2, window=30))
+    assert str(raised.value) == (
+        "search produced a bad certificate: element 4 of FS u FP is not in the target set"
+    )
+    # (6,) twice: the product 36 lies past the bitmap's bound
+    with pytest.raises(DomainBoundError, match="^membership query 36 exceeds bitmap domain bound 20$"):
+        search_subsystem(range(1, 31), parse_spec("bits(6 12; 20)"), SearchBudget(depth=2, window=30))
+
+
+def test_self_check_fails_a_block_past_max_block(monkeypatch):
+    def longer(lo, hi, max_block, blocks=search.iter_blocks):
+        return blocks(lo, hi, max_block + 1)
+
+    monkeypatch.setattr(search, "iter_blocks", longer)
+    with pytest.raises(StructuralError, match=r"block \(1, 2, 3\) has more than max_block 2 indices"):
+        search_subsystem(NAT32, MOD6, SearchBudget(depth=2, window=32, max_block=2))
+
+
+def test_found_search_folds_sums_and_products_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name):
+        fold = getattr(search, name)
+
+        def counted_fold(ys):
+            calls[name] += 1
+            return fold(ys)
+
+        monkeypatch.setattr(search, name, counted_fold)
+
+    counted("finite_sums")
+    counted("finite_products")
+    out = search_subsystem(
+        tuple(range(1, 321)), parse_spec("and(mod(6,0),geq(3))"), SearchBudget(depth=12, window=300)
+    )
+    assert out.kind is OutcomeKind.FOUND and out.certificate.verified
+    assert calls == {"finite_sums": 1, "finite_products": 1}
+
+
+def test_fold_cap_is_the_most_a_verifiable_certificate_holds():
+    assert fsfp.FOLD_CAP == 2**search.VERIFY_DEPTH_CAP - 1
 
 
 def test_verify_depth_cap():
