@@ -117,15 +117,9 @@ def _print_values(label: str, values) -> None:
     print(f"{label} ({len(ordered)} values): {' '.join(str(v) for v in ordered)}")
 
 
-def _cmd_fs(args) -> int:
-    seq = parse_sequence_source(args.seq)
-    _print_values("FS", finite_sums(seq))
-    return EXIT_FOUND
-
-
-def _cmd_fp(args) -> int:
-    seq = parse_sequence_source(args.seq)
-    _print_values("FP", finite_products(seq))
+def _cmd_fold(args) -> int:
+    fold = finite_sums if args.command == "fs" else finite_products
+    _print_values(args.command.upper(), fold(parse_sequence_source(args.seq)))
     return EXIT_FOUND
 
 
@@ -299,13 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     seq_help = "sequence source: nat:N, pow:b:N, fib:N, or file:PATH"
 
-    p = sub.add_parser("fs", help="finite sums of a sequence")
-    p.add_argument("--seq", required=True, help=seq_help)
-    p.set_defaults(func=_cmd_fs)
-
-    p = sub.add_parser("fp", help="finite products of a sequence")
-    p.add_argument("--seq", required=True, help=seq_help)
-    p.set_defaults(func=_cmd_fp)
+    for name, what in (("fs", "sums"), ("fp", "products")):
+        p = sub.add_parser(name, help=f"finite {what} of a sequence")
+        p.add_argument("--seq", required=True, help=seq_help)
+        p.set_defaults(func=_cmd_fold)
 
     p = sub.add_parser(
         "search", help="search for a sum subsystem whose FS u FP stays inside a spec"

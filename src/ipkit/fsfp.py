@@ -11,6 +11,9 @@ degenerate and nothing downstream wants it.
 Sets are value sets; two subsets producing the same value collapse to one
 element, so |FS| <= 2^m - 1 with equality only for collision-free term lists
 such as (1, 2, 4, ..., 2^(m-1)).
+
+Both sets come from one fold, in which each term adds itself and its sums or
+products with every value so far; an :class:`FsFpState` folds its terms once.
 """
 
 from __future__ import annotations
@@ -34,30 +37,27 @@ def _check_terms(terms, what: str = "terms") -> None:
             raise InputError(f"{what} must be >= 1, got {t}")
 
 
-def finite_sums(ys) -> frozenset[int]:
-    """All non-empty subset sums of ``ys``, as a value set."""
+def _fold(ys, name: str, grow) -> frozenset[int]:
+    """Fold ``ys`` into a value set: each term adds itself and ``grow(acc, y)``."""
     ys = tuple(ys)
     _check_terms(ys)
     acc: set[int] = set()
     for n, y in enumerate(ys, start=1):
-        acc |= {t + y for t in acc}
+        acc |= grow(acc, y)
         acc.add(y)
         if len(acc) > FOLD_CAP:
-            raise RefusalError(f"fold refused: FS of {n} terms exceeds {FOLD_CAP} values")
+            raise RefusalError(f"fold refused: {name} of {n} terms exceeds {FOLD_CAP} values")
     return frozenset(acc)
+
+
+def finite_sums(ys) -> frozenset[int]:
+    """All non-empty subset sums of ``ys``, as a value set."""
+    return _fold(ys, "FS", lambda acc, y: {t + y for t in acc})
 
 
 def finite_products(ys) -> frozenset[int]:
     """All non-empty subset products of ``ys``, as a value set."""
-    ys = tuple(ys)
-    _check_terms(ys)
-    acc: set[int] = set()
-    for n, y in enumerate(ys, start=1):
-        acc |= {s * y for s in acc}
-        acc.add(y)
-        if len(acc) > FOLD_CAP:
-            raise RefusalError(f"fold refused: FP of {n} terms exceeds {FOLD_CAP} values")
-    return frozenset(acc)
+    return _fold(ys, "FP", lambda acc, y: {s * y for s in acc})
 
 
 def normalize_block(block) -> tuple[int, ...]:
@@ -103,52 +103,42 @@ def subsystem_sums(x, blocks) -> tuple[int, ...]:
 class FsFpState:
     """Terms chosen so far together with their finite-sum and finite-product sets.
 
-    The three fields are kept coherent by construction: ``fs`` and ``fp`` must
-    equal the enumerations of ``ys``, which is re-checked on every build.
+    ``FsFpState(ys)`` folds ``fs`` and ``fp`` from ``ys`` once.  Sets passed
+    in must equal that fold.
     """
 
     ys: tuple[int, ...]
-    fs: frozenset[int]
-    fp: frozenset[int]
+    fs: frozenset[int] | None = None
+    fp: frozenset[int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "ys", tuple(self.ys))
-        object.__setattr__(self, "fs", frozenset(self.fs))
-        object.__setattr__(self, "fp", frozenset(self.fp))
-        if self.ys:
-            _check_terms(self.ys)
-            want_fs = finite_sums(self.ys)
-            want_fp = finite_products(self.ys)
-        else:
-            want_fs = frozenset()
-            want_fp = frozenset()
-        if self.fs != want_fs or self.fp != want_fp:
-            raise StructuralError(
-                f"incoherent state: fs/fp do not match the enumerations of ys={self.ys}"
-            )
+        ys = tuple(self.ys)
+        fs, fp = (finite_sums(ys), finite_products(ys)) if ys else (frozenset(), frozenset())
+        if (self.fs is not None and frozenset(self.fs) != fs) or (
+            self.fp is not None and frozenset(self.fp) != fp
+        ):
+            raise StructuralError(f"incoherent state: fs/fp do not match the enumerations of ys={ys}")
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "fs", fs)
+        object.__setattr__(self, "fp", fp)
 
     @property
     def depth(self) -> int:
         return len(self.ys)
 
 
-EMPTY_STATE = FsFpState((), frozenset(), frozenset())
+EMPTY_STATE = FsFpState(())
 
 
 def extend_state(state: FsFpState, y: int) -> FsFpState:
-    """Append one term; fs and fp grow by the new element and all its combinations."""
+    """Append one term: the state of ``state.ys + (y,)``."""
     if not isinstance(y, int) or isinstance(y, bool) or y < 1:
         raise InputError(f"appended term must be an integer >= 1, got {y!r}")
-    fs = state.fs | {y} | {t + y for t in state.fs}
-    fp = state.fp | {y} | {s * y for s in state.fp}
-    return FsFpState(state.ys + (y,), fs, fp)
+    return FsFpState(state.ys + (y,))
 
 
 def state_of(ys) -> FsFpState:
-    """Fold :func:`extend_state` over ``ys`` starting from the empty state."""
+    """The state of the non-empty terms ``ys``."""
     ys = tuple(ys)
     _check_terms(ys)
-    state = EMPTY_STATE
-    for y in ys:
-        state = extend_state(state, y)
-    return state
+    return FsFpState(ys)

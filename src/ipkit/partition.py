@@ -53,9 +53,12 @@ def _first_witness(bound: int, depth: int, test_for) -> FsWitness | None:
 
     ``test_for(x_1)`` gives the membership test that x_1, every later term
     and every sum must pass.  Pruning prefixes whose sums fail skips nothing.
+    A prefix carries each distinct sum once, at its first occurrence, so the
+    tests run in the order of all subset sums minus repeats, and at most
+    depth*bound sums are held: FS of k terms <= N has at most k*N values.
     """
 
-    def extend(chosen: tuple[int, ...], sums: tuple[int, ...], admissible):
+    def extend(chosen: tuple[int, ...], sums: dict[int, None], admissible):
         if len(chosen) == depth:
             return chosen
         for nxt in range(chosen[-1] + 1, bound + 1):
@@ -65,7 +68,10 @@ def _first_witness(bound: int, depth: int, test_for) -> FsWitness | None:
                 if not admissible(t + nxt):
                     break
             else:
-                grown = sums + tuple(t + nxt for t in sums) + (nxt,)
+                grown = sums.copy()
+                for t in sums:
+                    grown[t + nxt] = None
+                grown[nxt] = None
                 found = extend(chosen + (nxt,), grown, admissible)
                 if found is not None:
                     return found
@@ -74,7 +80,7 @@ def _first_witness(bound: int, depth: int, test_for) -> FsWitness | None:
     for first in range(1, bound + 1):
         admissible = test_for(first)
         if admissible(first):
-            found = extend((first,), (first,), admissible)
+            found = extend((first,), {first: None}, admissible)
             if found is not None:
                 return FsWitness(found)
     return None

@@ -329,6 +329,11 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
         nonlocal nodes, limit_hit
         tests = since if members is None else (lookup(members), *since)
         stop = due(members, since)
+        # listing on entry is a fast path, not a second copy of the loop's due
+        # check: an empty stage listed here returns before iter_blocks builds a
+        # generator.  Folded into the loop, nodes and certificates stayed the
+        # same and target queries fell by about a tenth, but the search-nodes
+        # benchmark (exhausted and node-limit searches) ran about 12% slower.
         if stop <= nodes < budget.node_limit:
             if (members := list_members(members, since, lo, 0)) is None:
                 return False

@@ -275,7 +275,12 @@ def product_formula_check(sg: FiniteSemigroup, p: int, q: int, members) -> bool:
     return left_side == right_side
 
 
-def _product_formula_sweep(sg: FiniteSemigroup, rng_seed: int = 7, samples: int = 2000):
+# above order 8 the product formula is checked on this many seeded samples
+_FORMULA_SAMPLES = 2000
+_FORMULA_SEED = 7
+
+
+def _product_formula_sweep(sg: FiniteSemigroup):
     """Exhaustive (p,q,A) sweep at small order, seeded sample otherwise.
 
     Returns (cases checked, exhaustive, all agree).
@@ -291,14 +296,14 @@ def _product_formula_sweep(sg: FiniteSemigroup, rng_seed: int = 7, samples: int 
                             return checked, True, False
                         checked += 1
         return checked, True, True
-    rng = random.Random(rng_seed)
-    for i in range(samples):
+    rng = random.Random(_FORMULA_SEED)
+    for i in range(_FORMULA_SAMPLES):
         p = rng.randrange(n)
         q = rng.randrange(n)
         subset = [v for v in range(n) if rng.random() < 0.5]
         if not product_formula_check(sg, p, q, subset):
             return i + 1, False, False
-    return samples, False, True
+    return _FORMULA_SAMPLES, False, True
 
 
 # -- corpus ------------------------------------------------------------------

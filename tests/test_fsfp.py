@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import fp_oracle, fs_oracle
+from ipkit import fsfp
 from ipkit.errors import InputError, StructuralError
 from ipkit.fsfp import (
     EMPTY_STATE,
@@ -138,6 +139,46 @@ def test_state_coherence_enforced():
         FsFpState((6,), frozenset({6, 12}), frozenset({6}))
     # the empty state is the one state with empty sets
     assert EMPTY_STATE.depth == 0
+
+
+def test_state_derives_its_sets_and_checks_given_ones():
+    assert FsFpState((2, 3)) == state_of((2, 3))
+    assert FsFpState((2, 3), frozenset({2, 3, 5}), frozenset({2, 3, 6})) == state_of((2, 3))
+    assert FsFpState((), frozenset(), frozenset()) == EMPTY_STATE == FsFpState(())
+    with pytest.raises(StructuralError):
+        FsFpState((2, 3), fp=frozenset({2, 3, 5}))
+    with pytest.raises(StructuralError):
+        FsFpState((), frozenset({1}))
+
+
+def _count_folds(monkeypatch):
+    calls = {"fs": 0, "fp": 0}
+
+    def counted(name, fold):
+        def wrapper(ys):
+            calls[name] += 1
+            return fold(ys)
+
+        return wrapper
+
+    monkeypatch.setattr(fsfp, "finite_sums", counted("fs", finite_sums))
+    monkeypatch.setattr(fsfp, "finite_products", counted("fp", finite_products))
+    return calls
+
+
+def test_state_of_folds_once(monkeypatch):
+    calls = _count_folds(monkeypatch)
+    state = state_of((3, 5, 6, 10, 11))
+    assert calls == {"fs": 1, "fp": 1}
+    assert state.fs == fs_oracle(state.ys) and state.fp == fp_oracle(state.ys)
+
+
+def test_extend_state_folds_once(monkeypatch):
+    state = state_of((3, 5, 6))
+    calls = _count_folds(monkeypatch)
+    grown = extend_state(state, 10)
+    assert calls == {"fs": 1, "fp": 1}
+    assert grown == state_of((3, 5, 6, 10))
 
 
 def test_subsystem_sums_examples():

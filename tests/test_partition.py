@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from conftest import fs_oracle, random_spec
-from ipkit.errors import InputError
+from ipkit.errors import DomainBoundError, InputError
 from ipkit.partition import (
     Coloring,
     FsWitness,
@@ -20,6 +20,7 @@ from ipkit.setspec import (
     Bitmap,
     Complement,
     Congruence,
+    Empty,
     Intersection,
     Interval,
     dilation_preimage,
@@ -27,6 +28,15 @@ from ipkit.setspec import (
 )
 
 ODDS = Congruence(2, 1)
+
+
+def _first_tuple(bound, depth, ok):
+    """The oracle: the lexicographically first increasing depth-tuple from
+    [1..bound] whose subset sums (by combinations) all satisfy ``ok``."""
+    for terms in combinations(range(1, bound + 1), depth):
+        if all(ok(v) for v in fs_oracle(terms)):
+            return terms
+    return None
 
 
 def test_witness_validation():
@@ -81,19 +91,47 @@ def test_refutation_duality():
 
 
 def test_witness_is_lexicographically_first():
-    """Agreement with a plain enumeration of all increasing tuples."""
+    """find_fs_witness and ip_star_refute agree with a plain enumeration of
+    all increasing tuples."""
     rng = random.Random(88)
-    for _ in range(25):
+    for _ in range(40):
         spec = random_spec(rng)
-        pred = spec.predicate()
-        k, bound = rng.randint(1, 3), 12
-        wanted = None
-        for terms in combinations(range(1, bound + 1), k):
-            if all(pred(v) for v in fs_oracle(terms)):
-                wanted = terms
-                break
-        got = find_fs_witness(spec, k, bound)
-        assert (got.terms if got else None) == wanted
+        k, bound = rng.randint(1, 4), 12
+        for search, target in ((find_fs_witness, spec), (ip_star_refute, Complement(spec))):
+            got = search(spec, k, bound)
+            wanted = _first_tuple(bound, k, target.predicate())
+            assert (got.terms if got else None) == wanted, (search.__name__, spec, k, bound)
+
+
+def test_witness_search_holds_each_sum_once():
+    """A counted target that admits everything: depth 20 takes 1,350 queries,
+    one per term and per distinct sum it adds to; carrying every subset sum
+    would take 2^20 - 1."""
+    queries = [0]
+
+    class CountedNone(Empty):
+        def predicate(self):
+            def test(v):
+                queries[0] += 1
+                return False
+
+            return test
+
+    assert ip_star_refute(CountedNone(), 20, 20).terms == tuple(range(1, 21))
+    assert queries[0] <= 2000
+
+
+def test_depth_40_witnesses_of_everything():
+    assert ip_star_refute(parse_spec("none"), 40, 40).terms == tuple(range(1, 41))
+    color, w = hindman_finite(Coloring((0,) * 1000), 40)
+    assert color == 0 and w.terms == tuple(range(1, 41))
+
+
+def test_first_domain_bound_error_follows_first_occurrence_order():
+    # testing the sums sorted, or each at its last occurrence, raises on
+    # 12, 13 or 16 instead
+    with pytest.raises(DomainBoundError, match=r"^membership query 14 exceeds bitmap domain bound 11$"):
+        ip_star_refute(parse_spec("bits(3 8 11; 11)"), 4, 11)
 
 
 def test_witness_depth_monotonicity():
@@ -214,21 +252,31 @@ def test_hindman_monochromatic_and_canonical():
         assert all(v <= bound and colors[v - 1] == color for v in w.fs)
 
 
-def test_hindman_agrees_with_all_colorings_oracle_small():
-    def oracle(colors, depth):
-        bound = len(colors)
-        for terms in combinations(range(1, bound + 1), depth):
-            sums = fs_oracle(terms)
-            if max(sums) > bound:
-                continue
-            if len({colors[v - 1] for v in sums}) == 1:
-                return True
-        return False
+def _hindman_oracle(colors, depth):
+    """The first increasing tuple whose sums stay in [1..N] inside one color class."""
+    bound = len(colors)
+    for terms in combinations(range(1, bound + 1), depth):
+        sums = fs_oracle(terms)
+        if max(sums) <= bound and len({colors[v - 1] for v in sums}) == 1:
+            return colors[terms[0] - 1], terms
+    return None
 
+
+def test_hindman_agrees_with_all_colorings_oracle_small():
     for bound in range(2, 9):
         for colors in product((0, 1), repeat=bound):
             got = hindman_finite(Coloring(colors), 2)
-            assert (got is not None) == oracle(colors, 2)
+            assert (got and (got[0], got[1].terms)) == _hindman_oracle(colors, 2)
+
+
+def test_hindman_matches_oracle_seeded():
+    rng = random.Random(4242)
+    for _ in range(60):
+        bound = rng.randint(2, 30)
+        colors = tuple(rng.randrange(rng.randint(1, 3)) for _ in range(bound))
+        depth = rng.randint(1, 4)
+        got = hindman_finite(Coloring(colors), depth)
+        assert (got and (got[0], got[1].terms)) == _hindman_oracle(colors, depth), (colors, depth)
 
 
 def test_hindman_is_first_fs_witness_over_color_classes():
