@@ -19,12 +19,16 @@ products with every value so far; an :class:`FsFpState` folds its terms once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import InputError, RefusalError, StructuralError
 
 # a fold refuses past this many values, the most a depth-22 certificate holds:
 # each term can double the set, so an unbounded fold only ends out of memory
 FOLD_CAP = 2**22 - 1
+
+# values a term adds between two checks once the cap is within its reach
+_FOLD_CHUNK = 4096
 
 
 def _check_terms(terms, what: str = "terms") -> None:
@@ -38,12 +42,25 @@ def _check_terms(terms, what: str = "terms") -> None:
 
 
 def _fold(ys, name: str, grow) -> frozenset[int]:
-    """Fold ``ys`` into a value set: each term adds itself and ``grow(acc, y)``."""
+    """Fold ``ys`` into a value set: each term adds itself and ``grow(values, y)``
+    over the values so far.
+
+    A term at most doubles the set, plus one.  Once that could pass
+    ``FOLD_CAP``, the term grows the set chunk by chunk and stops as soon as
+    the cap is passed, so a refused fold never holds much more than the cap.
+    """
     ys = tuple(ys)
     _check_terms(ys)
     acc: set[int] = set()
     for n, y in enumerate(ys, start=1):
-        acc |= grow(acc, y)
+        if 2 * len(acc) + 1 <= FOLD_CAP:
+            acc |= grow(acc, y)
+        else:
+            new: set[int] = set()
+            rest = iter(acc)
+            while len(acc) + len(new) <= FOLD_CAP and (chunk := grow(islice(rest, _FOLD_CHUNK), y)):
+                new |= chunk - acc
+            acc |= new
         acc.add(y)
         if len(acc) > FOLD_CAP:
             raise RefusalError(f"fold refused: {name} of {n} terms exceeds {FOLD_CAP} values")
@@ -52,12 +69,12 @@ def _fold(ys, name: str, grow) -> frozenset[int]:
 
 def finite_sums(ys) -> frozenset[int]:
     """All non-empty subset sums of ``ys``, as a value set."""
-    return _fold(ys, "FS", lambda acc, y: {t + y for t in acc})
+    return _fold(ys, "FS", lambda values, y: {t + y for t in values})
 
 
 def finite_products(ys) -> frozenset[int]:
     """All non-empty subset products of ``ys``, as a value set."""
-    return _fold(ys, "FP", lambda acc, y: {s * y for s in acc})
+    return _fold(ys, "FP", lambda values, y: {s * y for s in values})
 
 
 def normalize_block(block) -> tuple[int, ...]:

@@ -46,6 +46,20 @@ unlisted tests would, and never changes node counts, outcomes or
 certificates.  It gains when the search tests many more nodes than T+L:
 exhausting and node-limited searches over small periods.
 
+An admitted candidate below the last stage fixes its subtree by (stage,
+its last index, the FS and FP keys so far, its own key): the child's lo,
+FS keys and FP keys follow from these, and so does every node the subtree
+counts.  The search memoises that count for each subtree that returns
+without a find, without reaching the node limit and without raising, and
+looks a candidate up before accepting it.  A hit skips the subtree and adds
+its count, clamped at the node limit exactly as the closed-form skip is, so
+hits change no node count, outcome, certificate or first raising query;
+they skip listings, so they may change how many target queries are made.
+The memo keeps entries until what it holds, each entry counted as 1 + the
+keys of its two sets, reaches ``MEMO_CAP``; past that it stores nothing more
+and evicts nothing.  A ``bits`` target, whose keys are exact values, is
+memoised the same way.
+
 :func:`brute_force_subsystem` re-derives the answer with no pruning and no
 incremental state, enumerating every subset of its terms for FS and FP.
 :func:`verify_certificate` rechecks a found certificate from scratch, with FS
@@ -90,6 +104,10 @@ BRUTE_FORCE_CAP = 10_000_000
 # target queries the period window may spend on listing members ahead of the
 # nodes counted so far; past it, listing is paid for by counted nodes alone
 LISTING_ALLOWANCE = 1024
+
+# what one search's memo holds at most, an entry counted as 1 + the keys of
+# its two sets: past it the memo stores nothing more and evicts nothing
+MEMO_CAP = 1 << 16
 
 # verification folds FS and FP term by term, so its cost follows |FS| + |FP|,
 # which is at most 2^depth each; the cap keeps hostile documents cheap
@@ -254,6 +272,14 @@ def _block_count(n: int, max_block: int) -> int:
     return sum(comb(n, k) for k in range(1, max_block + 1))
 
 
+def _memo_hit(nodes: int, count: int, node_limit: int) -> tuple[int, bool]:
+    """The node count after a memoised subtree of ``count`` nodes, and whether
+    it reaches the limit: clamped there exactly as a scan of it would stop."""
+    if nodes + count <= node_limit:
+        return nodes + count, False
+    return node_limit, True
+
+
 def _validated_window(x, budget: SearchBudget) -> tuple[int, ...]:
     terms = tuple(x)
     _check_terms(terms, what="sequence terms")
@@ -284,6 +310,10 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     # nodes + LISTING_ALLOWANCE
     spent = 0
     path: list[tuple[int, ...]] = []
+    # node counts of subtrees that ended without a find or the node limit,
+    # and what the memo holds: each entry charged 1 + the keys of its sets
+    memo: dict[tuple, int] = {}
+    held = 0
     in_target = target.predicate()
     period = eventual_period(target)
     key = _residue_key(period)
@@ -326,7 +356,7 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     ) -> bool:
         # members: the window members of the nearest listed stage on the path,
         # or None; since: the tests added below it, from the compiled target
-        nonlocal nodes, limit_hit
+        nonlocal nodes, limit_hit, held
         tests = since if members is None else (lookup(members), *since)
         stop = due(members, since)
         # listing on entry is a fast path, not a second copy of the loop's due
@@ -355,15 +385,27 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
                 if not test(y):
                     break
             else:
-                path.append(block)
                 if stage == budget.depth:
+                    path.append(block)
                     return True
+                # fixes the child's lo, FS keys and FP keys, so its subtree's node count
+                subtree = (stage, block[-1], fs, fp, key(y))
+                if (count := memo.get(subtree)) is not None:
+                    nodes, limit_hit = _memo_hit(nodes, count, budget.node_limit)
+                    if limit_hit:
+                        return False
+                    continue
+                path.append(block)
                 next_fs, next_fp, added = _accept(in_target, fs, fp, y, key)
+                before = nodes
                 if extend(stage + 1, block[-1] + 1, next_fs, next_fp, members, since + added):
                     return True
                 if limit_hit:
                     return False
                 path.pop()
+                if held < MEMO_CAP:
+                    held += 1 + len(fs) + len(fp)
+                    memo[subtree] = nodes - before
         return False
 
     if extend(1, 1, frozenset(), frozenset(), None, (in_target,)):

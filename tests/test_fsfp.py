@@ -1,6 +1,7 @@
 """Finite-sum/finite-product sets: enumis, incremental identity, state coherence."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import fp_oracle, fs_oracle
 from ipkit import fsfp
-from ipkit.errors import InputError, StructuralError
+from ipkit.errors import InputError, RefusalError, StructuralError
 from ipkit.fsfp import (
     EMPTY_STATE,
     FsFpState,
@@ -179,6 +180,53 @@ def test_extend_state_folds_once(monkeypatch):
     grown = extend_state(state, 10)
     assert calls == {"fs": 1, "fp": 1}
     assert grown == state_of((3, 5, 6, 10))
+
+
+def test_capped_fold_matches_oracle_or_refuses_at_the_first_term_past_the_cap(monkeypatch):
+    """A term that could pass the cap grows chunk by chunk; the fold still
+    equals the oracle, or refuses at the first prefix holding more values."""
+    rng = random.Random(4096)
+    refused = grown = 0
+    for _ in range(300):
+        ys = [rng.randint(1, rng.choice((3, 30, 3000))) for _ in range(rng.randint(1, 10))]
+        monkeypatch.setattr(fsfp, "_FOLD_CHUNK", rng.choice((1, 2, 7, 4096)))
+        for fold, oracle, name in ((finite_sums, fs_oracle, "FS"), (finite_products, fp_oracle, "FP")):
+            size = len(oracle(ys))
+            cap = rng.randint(max(1, size // 2), 2 * size)
+            monkeypatch.setattr(fsfp, "FOLD_CAP", cap)
+            over = next((n for n in range(1, len(ys) + 1) if len(oracle(ys[:n])) > cap), None)
+            if over is None:
+                assert fold(ys) == oracle(ys)
+                # a term that began past half the cap grew chunk by chunk
+                grown += 2 * len(oracle(ys[:-1])) + 1 > cap
+            else:
+                with pytest.raises(RefusalError, match=f"^fold refused: {name} of {over} terms exceeds {cap} values$"):
+                    fold(ys)
+                refused += 1
+    assert refused > 100 and grown > 40, (refused, grown)
+
+
+def test_refused_fold_stops_near_the_cap(monkeypatch):
+    """The 16th power of two would double 2^15 - 1 sums; the fold stops a
+    chunk past the cap instead, so it peaks near a fold of the cap itself."""
+    monkeypatch.setattr(fsfp, "FOLD_CAP", 2**15 - 1)
+    powers = [2**k for k in range(20)]
+
+    def peak(ys):
+        tracemalloc.start()
+        try:
+            finite_sums(ys)
+        except RefusalError:
+            pass
+        finally:
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return top
+
+    at_cap = peak(powers[:15])
+    with pytest.raises(RefusalError, match="FS of 16 terms exceeds 32767 values"):
+        finite_sums(powers)
+    assert peak(powers) < 1.3 * at_cap
 
 
 def test_subsystem_sums_examples():

@@ -304,25 +304,31 @@ def _on_both_paths(monkeypatch, x, spec, budget):
 
     The window runs with LISTING_ALLOWANCE as set and at 0.  Each run must
     give the forced unlisted path's kind, nodes and certificate, and make at
-    most nodes + allowance more target queries.  Returns the outcome and how
-    many stages each allowance skipped.
+    most nodes + allowance more target queries.  Returns the outcome, how
+    many stages each allowance skipped, and how many subtrees it took from
+    the memo.
     """
     counted, queries = _counted(spec)
     with monkeypatch.context() as m:
         m.setattr(search, "eventual_period", lambda spec: None)
         unlisted = search_subsystem(x, counted, budget)
     unlisted_queries = queries[0]
-    skips = {}
+    skips, hits = {}, {}
     for allowance in (search.LISTING_ALLOWANCE, 0):
-        queries[0], skips[allowance] = 0, 0
+        queries[0], skips[allowance], hits[allowance] = 0, 0, 0
 
         def counted_skip(n, max_block, count=search._block_count):
             skips[allowance] += 1
             return count(n, max_block)
 
+        def counted_hit(nodes, count, node_limit, hit=search._memo_hit):
+            hits[allowance] += 1
+            return hit(nodes, count, node_limit)
+
         with monkeypatch.context() as m:
             m.setattr(search, "LISTING_ALLOWANCE", allowance)
             m.setattr(search, "_block_count", counted_skip)
+            m.setattr(search, "_memo_hit", counted_hit)
             window = search_subsystem(x, counted, budget)
         context = (render_spec(spec), x, budget, allowance)
         assert (window.kind, window.nodes, window.certificate) == (
@@ -333,7 +339,7 @@ def _on_both_paths(monkeypatch, x, spec, budget):
         assert queries[0] <= unlisted_queries + window.nodes + allowance, context
         if allowance:
             out = window
-    return out, skips
+    return out, skips, hits
 
 
 def _guarded_bits(rng):
@@ -365,7 +371,7 @@ def test_window_path_matches_unlisted_path_and_brute_force(monkeypatch):
             max_block=rng.randint(1, 3),
             node_limit=rng.choice((10**6, rng.randint(1, 400))),
         )
-        out, skips = _on_both_paths(monkeypatch, x, spec, budget)
+        out, skips, _ = _on_both_paths(monkeypatch, x, spec, budget)
         for allowance, count in skips.items():
             skipped[allowance] += count > 0
         if budget.node_limit == 10**6:
@@ -384,27 +390,34 @@ def test_window_path_matches_unlisted_path_and_brute_force(monkeypatch):
 
 
 def test_skipped_stage_counts_and_clamps_like_the_loop(monkeypatch):
-    """Odd + odd is even: after each odd y >= 5, stage 2 admits nothing and is skipped."""
+    """Odd + odd is even: after each odd y >= 5, stage 2 admits nothing and is
+    skipped, or taken from the memo when an earlier term had the same last
+    index and residue key."""
     parity = parse_spec("and(not(mod(2,0)),geq(5))")
     for window, max_block in ((9, 2), (12, 3), (15, 4)):
         x = tuple(range(1, window + 1))
         blocks = list(iter_blocks(1, window, max_block))
         first = next(i for i, b in enumerate(blocks, 1) if parity.contains(sum(b)))
         after_skip = first + len(list(iter_blocks(blocks[first - 1][-1] + 1, window, max_block)))
-        out, skips = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block))
+        out, skips, hits = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block))
         total = out.nodes
-        assert skips[search.LISTING_ALLOWANCE] == sum(parity.contains(sum(b)) for b in blocks)
+        admitted = sum(parity.contains(sum(b)) for b in blocks)
+        key = search._residue_key(eventual_period(parity))
+        kept = {(b[-1], key(sum(b))) for b in blocks if parity.contains(sum(b))}
+        for allowance in (search.LISTING_ALLOWANCE, 0):
+            assert skips[allowance] + hits[allowance] == admitted, allowance
+            assert hits[allowance] == admitted - len(kept) > 0, allowance
         assert total == count_block_systems(window, max_block, 1) + sum(
             len(list(iter_blocks(b[-1] + 1, window, max_block)))
             for b in blocks
             if parity.contains(sum(b))
         )
         for limit in (after_skip - 1, after_skip, after_skip + 1, total - 1):
-            out, _ = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block, limit))
+            out, _, _ = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block, limit))
             assert (out.kind, out.nodes) == (OutcomeKind.NODE_LIMIT, limit), limit
         # a limit of exactly the total still exhausts; at windows 9 and 12 the
         # last candidate's sum is odd, so the search ends on a skip of no candidates
-        out, _ = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block, total))
+        out, _, _ = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block, total))
         assert (out.kind, out.nodes) == (OutcomeKind.EXHAUSTED, total)
 
 
@@ -425,8 +438,8 @@ def _listing_overdraft(monkeypatch, x, spec, budget, allowance):
 
     A listing is priced as the search prices it: its pool times the tests it
     filters through.  Nodes are the blocks ``iter_blocks`` has yielded plus
-    the candidates each skip counted in closed form, which is the search's own
-    count, or one more while a scan is listing.
+    the candidates each skip counted in closed form and each memo hit added,
+    which is the search's own count, or one more while a scan is listing.
     """
     seen = [0]
     # [lo, blocks yielded] of each running enumeration, innermost last
@@ -452,6 +465,11 @@ def _listing_overdraft(monkeypatch, x, spec, budget, allowance):
         seen[0] += total - scanned
         return total
 
+    def counted_hit(nodes, count, node_limit, hit=search._memo_hit):
+        after, limit_hit = hit(nodes, count, node_limit)
+        seen[0] += after - nodes
+        return after, limit_hit
+
     def priced_filter(pool, tests, filtered=search._filtered):
         pool = tuple(pool)
         spent[0] += len(pool) * len(tests)
@@ -463,6 +481,7 @@ def _listing_overdraft(monkeypatch, x, spec, budget, allowance):
         m.setattr(search, "iter_blocks", counted_blocks)
         m.setattr(search, "_block_count", counted_skip)
         m.setattr(search, "_filtered", priced_filter)
+        m.setattr(search, "_memo_hit", counted_hit)
         out = search_subsystem(x, spec, budget)
     if out.kind is not OutcomeKind.NODE_LIMIT:
         assert seen[0] == out.nodes
@@ -503,6 +522,103 @@ def test_empty_stages_listed_mid_scan_reach_the_node_limit_cheaply():
     out = search_subsystem(x, target, budget)
     assert (out.kind, out.nodes) == (OutcomeKind.NODE_LIMIT, 10**6)
     assert queries[0] < 50_000
+
+
+def _memo_on_and_off(monkeypatch, x, spec, budget):
+    """The search with its memo and with ``MEMO_CAP`` at 0, which must give
+    the same kind, nodes and certificate, or raise the same
+    ``DomainBoundError``.  Returns that result and the node count each memo
+    hit added up to, before the clamp."""
+    reached = []
+
+    def recorded_hit(nodes, count, node_limit, hit=search._memo_hit):
+        reached.append(nodes + count)
+        return hit(nodes, count, node_limit)
+
+    results = []
+    for cap in (search.MEMO_CAP, 0):
+        with monkeypatch.context() as m:
+            m.setattr(search, "MEMO_CAP", cap)
+            # a memo capped at 0 stores nothing, so it never hits
+            m.setattr(search, "_memo_hit", recorded_hit if cap else None)
+            try:
+                out = search_subsystem(x, spec, budget)
+                results.append((out.kind, out.nodes, out.certificate))
+            except DomainBoundError as exc:
+                results.append(str(exc))
+    assert results[0] == results[1], (render_spec(spec), x, budget)
+    return results[0], reached
+
+
+def test_memo_changes_no_outcome_count_certificate_or_error(monkeypatch):
+    """Memo hits replay a failed subtree's node count, clamped at the limit
+    where its scan would stop: checked at limits one below, at and one above
+    the count a hit reaches, on periodic and on bits targets."""
+    # candidates at stages 3 and 4 meet the same last index, FS keys, FP keys
+    # and key here, so a memo that left the stage out of its key would report
+    # exhausted after 488 nodes
+    x, spec = (5, 3, 11, 7, 8, 8, 1), parse_spec("or(mod(4,0),mod(2,1))")
+    result, reached = _memo_on_and_off(monkeypatch, x, spec, SearchBudget(5, 7, 3))
+    assert (result[0], result[1], len(reached) > 0) == (OutcomeKind.FOUND, 168, True)
+    rng = random.Random(8128)
+    searches, results = 0, collections.Counter()
+    for _ in range(200):
+        n = rng.randint(6, 16)
+        x = tuple(rng.randint(1, 12) for _ in range(n)) if rng.random() < 0.5 else tuple(range(1, n + 1))
+        budget = SearchBudget(
+            depth=rng.randint(2, 6),
+            window=n,
+            max_block=rng.randint(2, 3),
+            node_limit=rng.choice((10**6, rng.randint(10, 3000))),
+        )
+        spec, kind = random_spec(rng, depth=rng.randint(0, 3)), rng.random()
+        if kind < 0.3:
+            bound = rng.randint(5, 4 * n)
+            bits = Bitmap(frozenset(v for v in range(1, bound + 1) if rng.random() < 0.8), bound)
+            bits = Intersection((Interval(1, bound), bits))
+            spec = rng.choice((bits, Union((spec, bits)), Intersection((bits, spec))))
+        elif kind < 0.7:
+            # every block sum lies in the domain, and odd + odd is even, so a
+            # stage 2 fails and is kept until t + y passes the bound and raises
+            top = max(sum(x[i - 1] for i in b) for b in iter_blocks(1, n, budget.max_block))
+            bound = rng.randint(5 * top // 4, 3 * top // 2)
+            spec = Bitmap(frozenset(range(1, bound + 1, 2)), bound)
+            budget = replace(budget, node_limit=10**6)
+        result, reached = _memo_on_and_off(monkeypatch, x, spec, budget)
+        searches += 1
+        results["raised" if isinstance(result, str) else result[0].value] += 1
+        if not reached:
+            continue
+        results["hit, then raised" if isinstance(result, str) else "hit"] += 1
+        at = rng.choice(reached)
+        for limit in (at - 1, at, at + 1):
+            if limit >= 1:
+                result, _ = _memo_on_and_off(monkeypatch, x, spec, replace(budget, node_limit=limit))
+                searches += 1
+                results["at a hit, raised" if isinstance(result, str) else f"at a hit, {result[0].value}"] += 1
+    assert searches >= 400, (searches, results)
+    assert results["hit"] + results["hit, then raised"] >= 80, results
+    for kind in ("found", "exhausted", "node-limit", "hit, then raised", "at a hit, node-limit"):
+        assert results[kind] >= 10, results
+
+
+def test_deep_node_limit_search_enumerates_a_sliver_of_its_nodes(monkeypatch):
+    """Sums of multiples of 3 avoid multiples of 7 on no 9-term system (prefix
+    sums mod 7), so the search runs to its limit.  Memo hits and skipped
+    stages count all but a sliver of the 10^7 nodes; ``iter_blocks`` yields the
+    rest, 214,592, where the search without a memo yields 2,239,817."""
+    yielded = [0]
+
+    def counted_blocks(lo, hi, max_block, blocks=search.iter_blocks):
+        for block in blocks(lo, hi, max_block):
+            yielded[0] += 1
+            yield block
+
+    monkeypatch.setattr(search, "iter_blocks", counted_blocks)
+    budget = SearchBudget(depth=9, window=45, max_block=3, node_limit=10**7)
+    out = search_subsystem(tuple(range(1, 81)), parse_spec("and(mod(3,0),not(mod(7,0)))"), budget)
+    assert (out.kind, out.nodes) == (OutcomeKind.NODE_LIMIT, 10**7)
+    assert yielded[0] < out.nodes // 40, yielded[0]
 
 
 def test_determinism():

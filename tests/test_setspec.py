@@ -1,5 +1,6 @@
 """Set expressions: membership, algebra, preimage rewrites, text round trips."""
 
+import collections
 import random
 
 import pytest
@@ -205,6 +206,27 @@ def test_compiled_predicate_matches_contains():
         for _ in range(25):
             v = rng.randint(1, 500)
             assert pred(v) == spec.contains(v)
+    # two- and three-child and/or trees, a bitmap in any slot: the compiled
+    # test answers as contains does, and raises on the same query
+    children = collections.Counter()
+    for _ in range(300):
+        width = rng.choice((2, 3))
+        parts = [random_spec(rng, depth=rng.randint(0, 2)) for _ in range(width)]
+        if rng.random() < 0.5:
+            bound = rng.randint(1, 400)
+            parts[rng.randrange(width)] = Bitmap(frozenset(rng.sample(range(1, bound + 1), bound // 2)), bound)
+        spec = rng.choice((Union, Intersection))(tuple(parts))
+        children[width] += 1
+        pred = spec.predicate()
+        for v in rng.sample(range(1, 500), 25):
+            try:
+                expected = spec.contains(v)
+            except DomainBoundError as exc:
+                with pytest.raises(DomainBoundError, match=f"^{exc}$"):
+                    pred(v)
+            else:
+                assert pred(v) is expected, (render_spec(spec), v)
+    assert min(children.values()) > 100, children
 
 
 def test_de_morgan_and_double_complement_extensional():
