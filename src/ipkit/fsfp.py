@@ -24,10 +24,11 @@ from itertools import islice
 from .errors import InputError, RefusalError, StructuralError
 
 # a fold refuses past this many values, the most a depth-22 certificate holds:
-# each term can double the set, so an unbounded fold only ends out of memory
+# each term can double the set, so an unbounded fold only ends out of memory.
+# A term that could pass the cap grows the set _FOLD_CHUNK source values at a
+# time, so a refused fold stops at most one chunk past the cap; the chunk
+# size is not a setting, only the grain of that check
 FOLD_CAP = 2**22 - 1
-
-# values a term adds between two checks once the cap is within its reach
 _FOLD_CHUNK = 4096
 
 

@@ -57,8 +57,9 @@ hits change no node count, outcome, certificate or first raising query;
 they skip listings, so they may change how many target queries are made.
 The memo keeps entries until what it holds, each entry counted as 1 + the
 keys of its two sets, reaches ``MEMO_CAP``; past that it stores nothing more
-and evicts nothing.  A ``bits`` target, whose keys are exact values, is
-memoised the same way.
+and evicts nothing.  A ``bits`` target is not memoised: its tests run in the
+order its path added them, so which query first leaves the table's domain
+depends on that order, which the key leaves out.
 
 :func:`brute_force_subsystem` re-derives the answer with no pruning and no
 incremental state, enumerating every subset of its terms for FS and FP.
@@ -316,6 +317,9 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     held = 0
     in_target = target.predicate()
     period = eventual_period(target)
+    # a bits target raises at the first test, in path order, that leaves its
+    # table: two paths with one key may raise at different queries
+    memo_cap = 0 if period is None else MEMO_CAP
     key = _residue_key(period)
     top = None if period is None else period[0] + period[1]
 
@@ -403,7 +407,7 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
                 if limit_hit:
                     return False
                 path.pop()
-                if held < MEMO_CAP:
+                if held < memo_cap:
                     held += 1 + len(fs) + len(fp)
                     memo[subtree] = nodes - before
         return False

@@ -174,10 +174,6 @@ class Union(SetSpec):
 
     def predicate(self):
         preds = tuple(c.predicate() for c in self.children)
-        if len(preds) == 2:
-            # the common case, without a generator per query
-            a, b = preds
-            return lambda v: a(v) or b(v)
         return lambda v: any(p(v) for p in preds)
 
 
@@ -197,10 +193,6 @@ class Intersection(SetSpec):
 
     def predicate(self):
         preds = tuple(c.predicate() for c in self.children)
-        if len(preds) == 2:
-            # the common case, without a generator per query
-            a, b = preds
-            return lambda v: a(v) and b(v)
         return lambda v: all(p(v) for p in preds)
 
 

@@ -553,16 +553,22 @@ def _memo_on_and_off(monkeypatch, x, spec, budget):
 def test_memo_changes_no_outcome_count_certificate_or_error(monkeypatch):
     """Memo hits replay a failed subtree's node count, clamped at the limit
     where its scan would stop: checked at limits one below, at and one above
-    the count a hit reaches, on periodic and on bits targets."""
+    the count a hit reaches.  Bits targets are swept too, and never hit."""
     # candidates at stages 3 and 4 meet the same last index, FS keys, FP keys
     # and key here, so a memo that left the stage out of its key would report
     # exhausted after 488 nodes
     x, spec = (5, 3, 11, 7, 8, 8, 1), parse_spec("or(mod(4,0),mod(2,1))")
     result, reached = _memo_on_and_off(monkeypatch, x, spec, SearchBudget(5, 7, 3))
     assert (result[0], result[1], len(reached) > 0) == (OutcomeKind.FOUND, 168, True)
+    # the paths 1,3,10 and 3,1,10 share a key, but 1,3,10 tests 40+1 = 41,
+    # outside the table, so its subtree fails, before 40+3 = 43, while
+    # 3,1,10 tests 43 first and raises: a memo hit there would hide that
+    x, spec = (1, 3, 1, 10, 40), parse_spec("bits(1 3 4 10 11 13 14 30 40; 41)")
+    result, reached = _memo_on_and_off(monkeypatch, x, spec, SearchBudget(4, 5, 1, 14))
+    assert (result, reached) == ("membership query 43 exceeds bitmap domain bound 41", [])
     rng = random.Random(8128)
     searches, results = 0, collections.Counter()
-    for _ in range(200):
+    for _ in range(400):
         n = rng.randint(6, 16)
         x = tuple(rng.randint(1, 12) for _ in range(n)) if rng.random() < 0.5 else tuple(range(1, n + 1))
         budget = SearchBudget(
@@ -572,12 +578,12 @@ def test_memo_changes_no_outcome_count_certificate_or_error(monkeypatch):
             node_limit=rng.choice((10**6, rng.randint(10, 3000))),
         )
         spec, kind = random_spec(rng, depth=rng.randint(0, 3)), rng.random()
-        if kind < 0.3:
+        if kind < 0.2:
             bound = rng.randint(5, 4 * n)
             bits = Bitmap(frozenset(v for v in range(1, bound + 1) if rng.random() < 0.8), bound)
             bits = Intersection((Interval(1, bound), bits))
             spec = rng.choice((bits, Union((spec, bits)), Intersection((bits, spec))))
-        elif kind < 0.7:
+        elif kind < 0.45:
             # every block sum lies in the domain, and odd + odd is even, so a
             # stage 2 fails and is kept until t + y passes the bound and raises
             top = max(sum(x[i - 1] for i in b) for b in iter_blocks(1, n, budget.max_block))
@@ -587,9 +593,11 @@ def test_memo_changes_no_outcome_count_certificate_or_error(monkeypatch):
         result, reached = _memo_on_and_off(monkeypatch, x, spec, budget)
         searches += 1
         results["raised" if isinstance(result, str) else result[0].value] += 1
+        # the other 55% draw no bits from random_spec
+        assert not (kind < 0.45 and reached), (render_spec(spec), x, budget)
         if not reached:
             continue
-        results["hit, then raised" if isinstance(result, str) else "hit"] += 1
+        results["hit"] += 1
         at = rng.choice(reached)
         for limit in (at - 1, at, at + 1):
             if limit >= 1:
@@ -597,8 +605,8 @@ def test_memo_changes_no_outcome_count_certificate_or_error(monkeypatch):
                 searches += 1
                 results["at a hit, raised" if isinstance(result, str) else f"at a hit, {result[0].value}"] += 1
     assert searches >= 400, (searches, results)
-    assert results["hit"] + results["hit, then raised"] >= 80, results
-    for kind in ("found", "exhausted", "node-limit", "hit, then raised", "at a hit, node-limit"):
+    assert results["hit"] >= 80, results
+    for kind in ("found", "exhausted", "node-limit", "raised", "at a hit, node-limit"):
         assert results[kind] >= 10, results
 
 

@@ -227,6 +227,18 @@ def test_compiled_predicate_matches_contains():
             else:
                 assert pred(v) is expected, (render_spec(spec), v)
     assert min(children.values()) > 100, children
+    # a node far wider than the recursion limit still compiles and answers,
+    # and so does one nested to the parser's depth with wide nodes at every
+    # level: frames per child, or per halving of the children, would overflow
+    for node in (Union, Intersection):
+        spec = node(tuple(Congruence(m, 0) for m in range(2, 10_002)))
+        pred = spec.predicate()
+        for v in (1, 2, 10_001, 10_007, 2 * 3 * 5 * 7 * 11):
+            assert pred(v) is spec.contains(v), (node, v)
+    spec = Congruence(3, 0)
+    for _ in range(MAX_SPEC_DEPTH - 1):
+        spec = Union((Congruence(2, 0),) * 2047 + (spec,))
+    assert (spec.predicate()(7), spec.predicate()(9)) == (False, True)
 
 
 def test_de_morgan_and_double_complement_extensional():
