@@ -55,7 +55,7 @@ def digit_limit_lifted():
 
 def _decimals(values) -> list[str]:
     with digit_limit_lifted():
-        return [str(v) for v in values]
+        return list(map(str, values))
 
 
 def _sorted_decimals(values) -> list[str]:
@@ -174,6 +174,20 @@ def _parse_decimal(value, what: str) -> int:
     raise InputError(f"{what} must be a canonical decimal string, got {shown(value)}")
 
 
+def _decimal_array(doc: dict, name: str, what: str) -> list[int]:
+    """The integers of a JSON array of canonical decimal strings."""
+    values = _array(doc, name)
+    # C-level passes over the whole array: all strings, ASCII digits only,
+    # none empty or with a leading zero (a digit string sorts below "1"
+    # exactly then); the value-by-value parse names the first bad one otherwise
+    try:
+        if all(map(str.isascii, values)) and all(map(str.isdigit, values)) and min(values) >= "1":
+            return list(map(int, values))
+    except (TypeError, ValueError):  # a non-string, an empty array, or past the digit limit
+        pass
+    return [_parse_decimal(v, what) for v in values]
+
+
 def _field(doc: dict, name: str):
     if name not in doc or doc[name] is None:
         raise InputError(f"document is missing field {name!r}")
@@ -212,7 +226,7 @@ def certificate_from_document(doc: dict) -> Certificate:
         raise InputError(
             f"document records outcome {shown(doc.get('outcome'))}, nothing to verify"
         )
-    x = tuple(_parse_decimal(v, "sequence value") for v in _array(doc, "x"))
+    x = tuple(_decimal_array(doc, "x", "sequence value"))
     blocks = []
     for raw in _array(doc, "blocks"):
         if not isinstance(raw, list) or not all(
@@ -220,9 +234,9 @@ def certificate_from_document(doc: dict) -> Certificate:
         ):
             raise InputError(f"block must be a list of integers, got {shown(raw)}")
         blocks.append(tuple(raw))
-    ys = tuple(_parse_decimal(v, "block sum") for v in _array(doc, "ys"))
-    fs = frozenset(_parse_decimal(v, "finite sum") for v in _array(doc, "fs"))
-    fp = frozenset(_parse_decimal(v, "finite product") for v in _array(doc, "fp"))
+    ys = tuple(_decimal_array(doc, "ys", "block sum"))
+    fs = frozenset(_decimal_array(doc, "fs", "finite sum"))
+    fp = frozenset(_decimal_array(doc, "fp", "finite product"))
     spec_text = _field(doc, "spec")
     if not isinstance(spec_text, str):
         raise InputError(f"spec field must be a string, got {shown(spec_text)}")

@@ -114,7 +114,7 @@ def parse_sequence_source(source: str) -> tuple[int, ...]:
 
 def _print_values(label: str, values) -> None:
     ordered = sorted(values)
-    print(f"{label} ({len(ordered)} values): {' '.join(str(v) for v in ordered)}")
+    print(f"{label} ({len(ordered)} values): {' '.join(map(str, ordered))}")
 
 
 def _cmd_fold(args) -> int:

@@ -78,7 +78,7 @@ from enum import Enum
 from itertools import combinations
 from math import comb, prod
 
-from .errors import InputError, RefusalError, StructuralError, shown
+from .errors import DomainBoundError, InputError, RefusalError, StructuralError, shown
 from .fsfp import (
     FsFpState,
     _check_terms,
@@ -511,6 +511,13 @@ def membership_failure(target: SetSpec, fs: frozenset, fp: frozenset) -> str | N
     """The first value of sorted FS u FP outside ``target``, as a failure, or None."""
     # FS and FP hold integers >= 1: the compiled target needs no checks
     in_target = target.predicate()
+    try:
+        if all(map(in_target, fs)) and all(map(in_target, fp)):
+            return None
+    except DomainBoundError:
+        pass
+    # a value outside the target, or a query outside a bits domain: the
+    # sorted scan names the first such value, or raises at the first query
     for v in sorted(fs | fp):
         if not in_target(v):
             return f"element {v} of FS u FP is not in the target set"

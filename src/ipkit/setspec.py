@@ -24,6 +24,11 @@ Membership of a bitmap outside its declared bound raises
 :class:`DomainBoundError` rather than defaulting to false; callers must keep
 their queries inside the bound or wrap the bitmap with an explicit tail.
 
+:meth:`SetSpec.predicate` compiles a spec to one flat Python expression, so
+a query runs in one frame whatever the spec's width or depth; only ``bits``
+nodes, and the parts of a spec past ``MAX_CODE_NODES`` nodes or
+``MAX_SPEC_DEPTH`` levels, are calls of their own.
+
 Specs are immutable and safe to share between threads.  Equality of two
 specs as sets is extensional (compare by sampling); ``==`` on the dataclasses
 is merely structural.
@@ -53,12 +58,22 @@ class SetSpec:
         raise NotImplementedError
 
     def predicate(self) -> Callable[[int], bool]:
-        """Compile to a plain closure for hot loops.
+        """Compile to one flat Python function for hot loops.
 
-        Same semantics as :meth:`contains` (including domain-bound errors) but
-        skips the argument validation; callers must pass integers >= 1.
+        Same semantics as :meth:`contains` (including domain-bound errors and
+        the left-to-right short-circuit order of ``and``/``or``) but skips the
+        argument validation; callers must pass integers >= 1.  The whole tree
+        becomes one expression, ``v % c0 == c1 and v >= c2`` for
+        ``and(mod(6,0),geq(3))`` with c0, c1, c2 bound to 6, 0, 3, so a
+        query runs in one frame whatever the spec's width or depth.  A
+        ``bits`` node, and any node whose class overrides this method, stays
+        a call to its own ``predicate()``.  A spec past ``MAX_CODE_NODES``
+        nodes or ``MAX_SPEC_DEPTH`` levels compiles in parts, each called
+        from the part above it.  Nothing is cached: every call compiles
+        afresh.
         """
-        raise NotImplementedError
+        codes: dict = {}
+        return _compiled(_lowered(self, codes, root=True)[0], codes)
 
 
 @dataclass(frozen=True)
@@ -79,10 +94,6 @@ class Congruence(SetSpec):
     def _member(self, value: int) -> bool:
         return value % self.modulus == self.residue
 
-    def predicate(self):
-        m, r = self.modulus, self.residue
-        return lambda v: v % m == r
-
 
 @dataclass(frozen=True)
 class Interval(SetSpec):
@@ -101,12 +112,6 @@ class Interval(SetSpec):
         if value < self.lo:
             return False
         return self.hi is None or value <= self.hi
-
-    def predicate(self):
-        lo, hi = self.lo, self.hi
-        if hi is None:
-            return lambda v: v >= lo
-        return lambda v: lo <= v <= hi
 
 
 @dataclass(frozen=True)
@@ -153,10 +158,6 @@ class Complement(SetSpec):
     def _member(self, value: int) -> bool:
         return not self.child._member(value)
 
-    def predicate(self):
-        inner = self.child.predicate()
-        return lambda v: not inner(v)
-
 
 @dataclass(frozen=True)
 class Union(SetSpec):
@@ -171,10 +172,6 @@ class Union(SetSpec):
 
     def _member(self, value: int) -> bool:
         return any(c._member(value) for c in self.children)
-
-    def predicate(self):
-        preds = tuple(c.predicate() for c in self.children)
-        return lambda v: any(p(v) for p in preds)
 
 
 @dataclass(frozen=True)
@@ -191,10 +188,6 @@ class Intersection(SetSpec):
     def _member(self, value: int) -> bool:
         return all(c._member(value) for c in self.children)
 
-    def predicate(self):
-        preds = tuple(c.predicate() for c in self.children)
-        return lambda v: all(p(v) for p in preds)
-
 
 @dataclass(frozen=True)
 class DilationPreimage(SetSpec):
@@ -209,10 +202,6 @@ class DilationPreimage(SetSpec):
 
     def _member(self, value: int) -> bool:
         return self.child._member(self.factor * value)
-
-    def predicate(self):
-        n, inner = self.factor, self.child.predicate()
-        return lambda v: inner(n * v)
 
 
 @dataclass(frozen=True)
@@ -229,18 +218,11 @@ class ShiftPreimage(SetSpec):
     def _member(self, value: int) -> bool:
         return self.child._member(self.offset + value)
 
-    def predicate(self):
-        t, inner = self.offset, self.child.predicate()
-        return lambda v: inner(t + v)
-
 
 @dataclass(frozen=True)
 class Empty(SetSpec):
     def _member(self, value: int) -> bool:
         return False
-
-    def predicate(self):
-        return lambda v: False
 
 
 @dataclass(frozen=True)
@@ -248,12 +230,138 @@ class Full(SetSpec):
     def _member(self, value: int) -> bool:
         return True
 
-    def predicate(self):
-        return lambda v: True
-
 
 EMPTY = Empty()
 FULL = Full()
+
+# nodes one compiled code object holds at most: a larger subtree, or a run of
+# a wide and/or node's children, compiles to a code object of its own, which
+# its parent calls, so compile time and memory grow linearly with the spec
+MAX_CODE_NODES = 1000
+
+# how loosely each compiled form binds; a child binding more loosely than
+# its parent's operands must be parenthesised, and leaves bind tightest
+_LOOSENESS = {"or": 0, "and": 1, "bind": 1, "not": 2}
+_TIGHTEST = 3
+
+
+def _lowered(spec: SetSpec, codes: dict, root: bool = False) -> tuple[tuple, int, int]:
+    """``spec`` as a code tree for :func:`_compiled`, with the nodes and the
+    levels that tree holds inline.
+
+    A subtree that would take its parent past ``MAX_CODE_NODES`` nodes or
+    ``MAX_SPEC_DEPTH`` levels is compiled here and held as a call.
+    """
+    if not root and type(spec).predicate is not SetSpec.predicate:
+        return ("call", spec.predicate()), 1, 1
+    if isinstance(spec, Congruence):
+        return ("mod", spec.modulus, spec.residue), 1, 1
+    if isinstance(spec, Interval):
+        return ("range", spec.lo, spec.hi), 1, 1
+    if isinstance(spec, (Empty, Full)):
+        return ("const", isinstance(spec, Full)), 1, 1
+    if isinstance(spec, (Complement, ShiftPreimage, DilationPreimage)):
+        child, nodes, levels = _lowered(spec.child, codes)
+        if nodes >= MAX_CODE_NODES or levels >= MAX_SPEC_DEPTH:
+            child, nodes, levels = _called(child, codes)
+        if isinstance(spec, Complement):
+            return ("not", child), nodes + 1, levels + 1
+        if isinstance(spec, ShiftPreimage):
+            return ("bind", "+", spec.offset, child), nodes + 1, levels + 1
+        return ("bind", "*", spec.factor, child), nodes + 1, levels + 1
+    if isinstance(spec, (Union, Intersection)):
+        op = "or" if isinstance(spec, Union) else "and"
+        parts = [_lowered(c, codes) for c in spec.children]
+        parts = [_called(p[0], codes) if p[2] >= MAX_SPEC_DEPTH else p for p in parts]
+        # and/or are associative: runs of children compile on their own,
+        # grouped again while even their calls do not fit
+        while 1 + sum(p[1] for p in parts) > MAX_CODE_NODES:
+            parts = [
+                _called((op, [p[0] for p in run]) if len(run) > 1 else run[0][0], codes)
+                for run in _runs(parts)
+            ]
+        tree = (op, [p[0] for p in parts])
+        return tree, 1 + sum(p[1] for p in parts), 1 + max(p[2] for p in parts)
+    raise NotImplementedError(f"cannot compile {type(spec).__name__}")
+
+
+def _called(tree: tuple, codes: dict) -> tuple[tuple, int, int]:
+    """A code tree compiled on its own, as a one-node call."""
+    if tree[0] == "call":
+        return tree, 1, 1
+    return ("call", _compiled(tree, codes)), 1, 1
+
+
+def _runs(parts: list):
+    """Consecutive lowered parts, grouped so that each group and its and/or
+    node fit in ``MAX_CODE_NODES``."""
+    run, nodes = [], 0
+    for part in parts:
+        if run and nodes + part[1] >= MAX_CODE_NODES:
+            yield run
+            run, nodes = [], 0
+        run.append(part)
+        nodes += part[1]
+    yield run
+
+
+def _compiled(tree: tuple, codes: dict) -> Callable[[int], bool]:
+    """A code tree as one ``lambda v: ...`` that evaluates it in one frame.
+
+    Each constant and each called function is bound to a generated global
+    name, so the source holds only generated names, operators and keywords:
+    no text of a spec reaches ``compile``, and integers of any size stay
+    exact with no decimal round trip.  Parts of one shape therefore have one
+    source, compiled once into ``codes`` and evaluated with each part's names.
+    """
+    names: dict = {}
+    out: list[str] = []
+    binds = 0
+
+    def name(value) -> str:
+        key = f"c{len(names)}"
+        names[key] = value
+        return key
+
+    def emit(tree: tuple, arg: str, floor: int) -> None:
+        nonlocal binds
+        kind = tree[0]
+        looseness = _LOOSENESS.get(kind, _TIGHTEST)
+        if looseness < floor:
+            out.append("(")
+        if kind == "mod":
+            out.append(f"{arg} % {name(tree[1])} == {name(tree[2])}")
+        elif kind == "range":
+            lo, hi = tree[1], tree[2]
+            out.append(f"{arg} >= {name(lo)}" if hi is None else f"{name(lo)} <= {arg} <= {name(hi)}")
+        elif kind == "const":
+            out.append(repr(tree[1]))
+        elif kind == "call":
+            out.append(f"{name(tree[1])}({arg})")
+        elif kind == "not":
+            out.append("not ")
+            emit(tree[1], arg, looseness)
+        elif kind == "bind":
+            # the shifted or dilated argument is bound once, not pasted into
+            # every leaf below; it is >= 1, so the walrus is true and the
+            # value is the child's
+            local = f"w{binds}"
+            binds += 1
+            out.append(f"({local} := {arg} {tree[1]} {name(tree[2])}) and ")
+            emit(tree[3], local, looseness)
+        else:
+            for i, child in enumerate(tree[1]):
+                if i:
+                    out.append(f" {kind} ")
+                emit(child, arg, looseness)
+        if looseness < floor:
+            out.append(")")
+
+    emit(tree, "v", 0)
+    source = "lambda v: " + "".join(out)
+    if source not in codes:
+        codes[source] = compile(source, "<setspec>", "eval")
+    return eval(codes[source], names)
 
 
 def intersect_all(specs) -> SetSpec:
@@ -371,8 +479,9 @@ def render_spec(spec: SetSpec) -> str:
     raise InputError(f"cannot render {type(spec).__name__}")
 
 
-# parse_spec refuses deeper nesting: compiled predicates add frames per level,
-# and this keeps them far below the interpreter's recursion limit
+# parse_spec refuses deeper nesting, which keeps a parsed spec's compiled
+# expression (about one parenthesis per level) inside compile's nesting and
+# recursion limits; a spec built deeper in code compiles in parts this deep
 MAX_SPEC_DEPTH = 100
 
 

@@ -146,6 +146,17 @@ def test_certificate_from_document_errors():
     for field, value in (("x", 7), ("blocks", 5), ("fs", 3), ("x", "123"), ("ys", {"0": "6"})):
         with pytest.raises(InputError, match=f"field '{field}' must be a JSON array"):
             certificate_from_document({**doc, field: value})
+    # an array is checked in one pass, then value by value only when that
+    # fails: the error names the first bad value, exactly
+    bad_values = ("", "0", "007", "-6", "6.0", "\u0663", "\u00b2", "9" * 4301, 6, None, True, ["6"])
+    for bad in bad_values:
+        for field, what in (("fs", "finite sum"), ("fp", "finite product")):
+            values = list(doc[field])
+            values[1:1] = [bad, "x"]
+            with pytest.raises(InputError) as raised:
+                certificate_from_document({**doc, field: values})
+            assert str(raised.value) == f"{what} must be a canonical decimal string, got {shown(bad)}"
+    assert certificate_from_document({**doc, "fp": []}).fp == frozenset()
 
 
 def test_budget_from_document():

@@ -763,6 +763,41 @@ def test_verify_checks_terms_and_bitmap_bounds():
     assert str(raised.value) == str(interpreted.value)
 
 
+def test_membership_failure_names_what_the_sorted_scan_names():
+    """One pass over FS, then FP, falls back to the sorted scan: a failure names
+    the first value of sorted FS u FP outside the target, and a bits target
+    raises at the first sorted query past its bound, whatever the pass met."""
+
+    def scanned(spec, fs, fp):
+        for v in sorted(fs | fp):
+            if not spec.contains(v):
+                return f"element {v} of FS u FP is not in the target set"
+        return None
+
+    rng = random.Random(15)
+    verdicts = collections.Counter()
+    for _ in range(300):
+        spec = random_spec(rng)
+        fs = frozenset(rng.sample(range(1, 200), rng.randint(1, 12)))
+        fp = frozenset(rng.sample(range(1, 400), rng.randint(1, 12)))
+        if rng.random() < 0.5:
+            fs, fp = (frozenset(filter(spec.contains, values)) for values in (fs, fp))
+        failure = search.membership_failure(spec, fs, fp)
+        assert failure == scanned(spec, fs, fp), (render_spec(spec), sorted(fs), sorted(fp))
+        verdicts[failure is None] += 1
+    assert min(verdicts.values()) > 50, verdicts
+    # the pass meets 9 first, in FS; the scan names 5, from FP
+    failure = search.membership_failure(parse_spec("mod(2,0)"), frozenset({6, 9}), frozenset({5, 36}))
+    assert failure == "element 5 of FS u FP is not in the target set"
+    # the pass raises at 25 or 30, in FS; the scan raises at 21, from FP
+    bits = parse_spec("bits(1 2 3; 20)")
+    with pytest.raises(DomainBoundError, match="^membership query 21 exceeds bitmap domain bound 20$"):
+        search.membership_failure(bits, frozenset({25, 30}), frozenset({2, 21}))
+    # a value outside the target before the first query past the bound
+    failure = search.membership_failure(bits, frozenset({4, 25}), frozenset({1}))
+    assert failure == "element 4 of FS u FP is not in the target set"
+
+
 def test_verify_structural_errors():
     good = _found_cert()
     with pytest.raises(StructuralError, match="out of order"):

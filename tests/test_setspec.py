@@ -2,6 +2,7 @@
 
 import collections
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,91 @@ def test_compiled_predicate_matches_contains():
     for _ in range(MAX_SPEC_DEPTH - 1):
         spec = Union((Congruence(2, 0),) * 2047 + (spec,))
     assert (spec.predicate()(7), spec.predicate()(9)) == (False, True)
+    # shifts, dilations, all and none, nested under every other node
+    for _ in range(200):
+        spec = random_spec(rng, depth=rng.randint(0, 3))
+        for _ in range(rng.randint(1, 3)):
+            wrap = rng.randrange(4)
+            if wrap == 0:
+                spec = ShiftPreimage(rng.randint(1, 9), spec)
+            elif wrap == 1:
+                spec = DilationPreimage(rng.randint(1, 9), spec)
+            else:
+                other = rng.choice((EMPTY, FULL, random_spec(rng, depth=1)))
+                spec = (Union if wrap == 2 else Intersection)((other, spec))
+        spec = rng.choice((spec, Complement(spec)))
+        pred = spec.predicate()
+        for v in rng.sample(range(1, 500), 25):
+            assert pred(v) is spec.contains(v), (render_spec(spec), v)
+    # a bits-free spec answers in one frame, however wide or deep
+    for text in ("and(mod(6,0),geq(3))", "not(or(mod(2,0),and(range(3,9),shift(2,or(mod(3,1),dil(2,geq(5)))))))"):
+        assert _calls_per_query(parse_spec(text).predicate(), range(1, 50)) == 1, text
+    # 97 levels under a 500-child or, every node evaluated for every query
+    spec = Congruence(1, 0)
+    for _ in range(24):
+        spec = Intersection((Interval(1), ShiftPreimage(1, Complement(Complement(spec)))))
+    spec = Union(tuple(Congruence(m, 0) for m in range(100, 600)) + (spec,))
+    pred = spec.predicate()
+    assert all(pred(v) is spec.contains(v) is True for v in range(1, 50))
+    assert _calls_per_query(pred, range(1, 50)) == 1
+    # constants past the int->str digit limit stay exact, and the limit holds after
+    limit = sys.get_int_max_str_digits()
+    big = 7 ** 5916  # 5,000 digits
+    huge = 10 ** 5000
+    for spec in (
+        Congruence(big, 5),
+        Union((Congruence(2, 0), Congruence(big, big - 1))),
+        DilationPreimage(huge, Interval(huge + 1)),
+        DilationPreimage(huge, Interval(2 * huge, 3 * huge)),
+        ShiftPreimage(huge, Congruence(big, 5)),
+    ):
+        pred = spec.predicate()
+        for v in (1, 2, 3, 5, big - 1, big + 5, huge // 7):
+            assert pred(v) is spec.contains(v), (type(spec).__name__, v)
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        str(huge)
+    # shift and dilation chains bind their argument once: code grows linearly
+    # with the depth, where pasting (v + t) into every leaf would not
+    for node in (ShiftPreimage, DilationPreimage):
+        sizes = {}
+        for levels in (25, 50, 99):
+            spec = Interval(1)
+            for _ in range(levels):
+                spec = Intersection((Interval(1), node(1, spec)))
+            sizes[levels] = sum(len(code.co_code) for code in _code_objects(spec.predicate()))
+            assert spec.predicate()(5) is True
+        assert sizes[50] <= 2.2 * sizes[25] and sizes[99] <= 4.4 * sizes[25], (node, sizes)
+
+
+def _calls_per_query(pred, values) -> float:
+    """Python-level calls made per query of ``pred``, counted by a profile hook."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(hook)
+    try:
+        for v in values:
+            pred(v)
+    finally:
+        sys.setprofile(None)
+    return calls / len(values)
+
+
+def _code_objects(pred) -> list:
+    """The code objects of a compiled predicate and of every part it calls."""
+    codes, todo = [], [pred]
+    while todo:
+        f = todo.pop()
+        codes.append(f.__code__)
+        todo.extend(
+            g for g in f.__globals__.values()
+            if getattr(g, "__code__", None) and g.__code__.co_filename == "<setspec>"
+        )
+    return codes
 
 
 def test_de_morgan_and_double_complement_extensional():
