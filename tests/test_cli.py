@@ -426,6 +426,71 @@ def test_semigroup_reports(capsys, tmp_path):
     assert doc["product_formula"]["all_agree"] is True
 
 
+# Two transformation semigroups (sampled_transformation_semigroups(1, degree=4)):
+# order 8 takes the exhaustive product-formula sweep, order 13 the sampled one.
+# The reports and the documents' product_formula fields are golden bytes; the
+# sweep's sample stream may change, these may not.
+SWEEP_GOLDENS = (
+    (
+        "8\n"
+        "0 0 0 0 0 0 0 0\n0 0 1 0 0 1 0 0\n0 1 2 0 1 5 6 7\n0 0 0 3 3 0 0 0\n"
+        "0 0 1 3 3 1 0 0\n7 6 5 7 6 2 1 0\n7 7 6 7 7 6 7 7\n7 7 7 7 7 7 7 7\n",
+        "order: 8\n"
+        "idempotents: 0 2 3 7\n"
+        "minimal left ideals: {0,7}\n"
+        "minimal right ideals: {0} {7}\n"
+        "kernel K: {0,7}\n"
+        "minimal idempotents: 0 7\n"
+        "group check: 2 minimal (L,R) pairs, all groups: true\n"
+        "product formula: 16384 (p,q,A) cases (exhaustive), all agree: true\n",
+        '"product_formula": {\n'
+        '    "all_agree": true,\n'
+        '    "checked": 16384,\n'
+        '    "exhaustive": true\n'
+        "  }",
+    ),
+    (
+        "13\n"
+        "0 0 2 3 4 4 4 4 4 4 3 2 4\n0 1 2 3 4 5 6 7 8 9 10 11 12\n"
+        "4 2 4 4 4 3 4 2 4 0 0 3 4\n4 3 4 4 4 4 3 4 2 4 2 0 0\n"
+        "4 4 4 4 4 4 4 4 4 4 4 4 4\n4 5 4 4 4 4 5 4 7 4 7 9 9\n"
+        "4 6 4 4 4 4 6 4 8 4 8 12 12\n4 7 4 4 4 5 4 7 4 9 9 5 4\n"
+        "4 8 4 4 4 6 4 8 4 12 12 6 4\n9 9 7 5 4 4 4 4 4 4 5 7 4\n"
+        "9 10 7 5 4 6 3 8 2 12 11 1 0\n12 11 8 6 4 3 5 2 7 0 1 10 9\n"
+        "12 12 8 6 4 4 4 4 4 4 6 8 4\n",
+        "order: 13\n"
+        "idempotents: 0 1 4 6 7\n"
+        "minimal left ideals: {4}\n"
+        "minimal right ideals: {4}\n"
+        "kernel K: {4}\n"
+        "minimal idempotents: 4\n"
+        "group check: 1 minimal (L,R) pairs, all groups: true\n"
+        "product formula: 2000 (p,q,A) cases (sampled), all agree: true\n",
+        '"product_formula": {\n'
+        '    "all_agree": true,\n'
+        '    "checked": 2000,\n'
+        '    "exhaustive": false\n'
+        "  }",
+    ),
+)
+
+
+@pytest.mark.parametrize("table_text, report, field", SWEEP_GOLDENS)
+def test_semigroup_full_report_bytes(capsys, tmp_path, table_text, report, field):
+    table = tmp_path / "t.txt"
+    table.write_text(table_text)
+    json_path = tmp_path / "report.json"
+    order = table_text.split("\n", 1)[0]
+    code, out, err = run(
+        capsys, "semigroup", "--table", str(table), "--report", "full",
+        "--order-cap", order, "--json", str(json_path),
+    )
+    assert (code, out, err) == (0, report, "")
+    text = json_path.read_text()
+    start = text.index('"product_formula": {')
+    assert text[start:text.index("}", start) + 1] == field
+
+
 def test_semigroup_full_report_computes_ideals_once(capsys, tmp_path, monkeypatch):
     from ipkit import cli, semigroup
 

@@ -301,6 +301,46 @@ def test_product_formula_exhaustive_small_orders():
                         assert product_formula_check(sg, p, q, subset)
 
 
+def sweep_corpus(orders):
+    """The named constructors and sampled transformation semigroups at the given orders."""
+    tables = [
+        make(n)
+        for n in orders
+        for make in (cyclic_group, multiplication_mod, left_zero, right_zero, null_semigroup)
+    ]
+    return tables + sampled_transformation_semigroups(1, per_order=1, orders=orders, degree=4)
+
+
+def test_product_formula_sweep_results():
+    small = sweep_corpus(range(1, 9))
+    large = sweep_corpus(range(9, 18))
+    assert {sg.order for sg in small} == set(range(1, 9))
+    assert {sg.order for sg in large} == set(range(9, 18))
+    for sg in small:
+        n = sg.order
+        assert semigroup._product_formula_sweep(sg) == (n * n * 2**n, True, True), sg.table
+    for sg in large:
+        assert semigroup._product_formula_sweep(sg) == (2000, False, True), sg.table
+
+
+def test_product_formula_bitmask_matches_the_set_form():
+    """Every drawn (p, q, A): the pullback mask is {x : x*q in A}, and its bit p
+    is bit p*q of A, as ``product_formula_check`` finds on the same case."""
+    for sg in sweep_corpus((3, 5, 9, 13, 17)):
+        n = sg.order
+        columns = tuple(zip(*sg.table))
+        cases = list(semigroup._formula_cases(n))
+        assert cases == list(semigroup._formula_cases(n))  # seeded
+        assert len(cases) == (n * n * 2**n if n <= 8 else 2000)
+        for p, q, a in cases:
+            assert 0 <= a < 1 << n
+            members = {v for v in range(n) if a >> v & 1}
+            pullback = semigroup._pullback(columns[q], a)
+            assert pullback == sum(1 << x for x in range(n) if sg.mul(x, q) in members)
+            assert (pullback >> p & 1) == (a >> sg.mul(p, q) & 1)
+            assert product_formula_check(sg, p, q, members)
+
+
 def test_all_semigroups_counts():
     assert len(all_semigroups(1)) == 1
     assert len(all_semigroups(2)) == 8
