@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_left
 from contextlib import contextmanager
 from datetime import datetime, timezone
 
@@ -60,6 +61,22 @@ def _decimals(values) -> list[str]:
 
 def _sorted_decimals(values) -> list[str]:
     return _decimals(sorted(values))
+
+
+def merged_decimals(few: list[str], many: list[str]) -> list[str]:
+    """The union of two ascending lists of canonical decimals, in ascending order.
+
+    Such decimals order by length, then as text, so each of ``few`` is placed
+    in ``many`` by bisection; nothing is parsed, rendered or sorted again.
+    """
+    merged, start = [], 0
+    for d in few:
+        i = bisect_left(many, (len(d), d), start, key=lambda m: (len(m), m))
+        merged += many[start:i]
+        if i == len(many) or many[i] != d:
+            merged.append(d)
+        start = i
+    return merged + many[start:]
 
 
 def make_document(kind: str, payload: dict) -> dict:

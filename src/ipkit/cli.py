@@ -18,10 +18,10 @@ from .certificates import (
     KIND_SEMIGROUP,
     budget_from_document,
     certificate_from_document,
-    digit_limit_lifted,
     hindman_document,
     load_document,
     make_document,
+    merged_decimals,
     search_document,
     witness_document,
     write_document,
@@ -144,21 +144,22 @@ def _cmd_search(args) -> int:
     print(f"outcome: {outcome.kind.value}")
     print(f"nodes: {outcome.nodes}")
     cert = outcome.certificate
+    # a found search is rendered once, by its document, past the int->str digit
+    # limit (the fs and fp subcommands keep it); the file is written under --json
+    doc = None
+    if cert is not None or args.json:
+        doc = search_document(outcome, budget, spec_text, seq[: budget.window])
     if cert is not None:
-        # values past the int->str digit limit print exactly here; the fs and
-        # fp subcommands keep the limit
-        with digit_limit_lifted():
-            for i, (block, y) in enumerate(zip(cert.blocks, cert.ys), start=1):
-                indices = ",".join(str(j) for j in block)
-                print(f"H{i} = {{{indices}}}  y{i} = {y}")
-            _print_values("FS u FP", cert.fs | cert.fp)
+        for i, (block, y) in enumerate(zip(cert.blocks, doc["ys"]), start=1):
+            print(f"H{i} = {{{','.join(map(str, block))}}}  y{i} = {y}")
+        union = merged_decimals(doc["fs"], doc["fp"])
+        print(f"FS u FP ({len(union)} values): {' '.join(union)}")
         print("verified: true")
     elif outcome.kind is OutcomeKind.EXHAUSTED:
         print("no block system within the budget satisfies the spec")
     else:
         print("stopped at the node limit; nothing is claimed")
     if args.json:
-        doc = search_document(outcome, budget, spec_text, seq[: budget.window])
         write_document(args.json, doc)
         print(f"certificate written to {args.json}")
     if outcome.kind is OutcomeKind.FOUND:
@@ -174,9 +175,10 @@ def _cmd_verify(args) -> int:
     budget, nodes = budget_from_document(doc)
     failure = verification_failure(cert) or budget_failure(cert, budget, nodes)
     if failure is None:
+        union_size = len(cert.fs) + len(cert.fp) - len(cert.fs & cert.fp)
         print(
             f"certificate verifies: {len(cert.ys)} blocks, "
-            f"{len(cert.fs | cert.fp)} FS u FP values inside {cert.spec_text}"
+            f"{union_size} FS u FP values inside {cert.spec_text}"
         )
         return EXIT_FOUND
     print(f"certificate does not verify: {failure}")

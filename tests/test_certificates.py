@@ -4,6 +4,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ipkit.certificates import (
     FORMAT_VERSION,
@@ -19,6 +21,7 @@ from ipkit.certificates import (
     hindman_document,
     load_document,
     make_document,
+    merged_decimals,
     search_document,
     witness_document,
     write_document,
@@ -222,6 +225,17 @@ def test_hindman_document_shapes():
 def test_make_document_rejects_unknown_kind():
     with pytest.raises(InputError, match="unknown document kind"):
         make_document("mystery", {})
+
+
+values = st.sets(st.integers(1, 1000) | st.integers(1, 10**40), max_size=30)
+
+
+@given(values, values)
+def test_merged_decimals_is_the_sorted_union(few, many):
+    def rendered(v):
+        return [str(n) for n in sorted(v)]
+
+    assert merged_decimals(rendered(few), rendered(many)) == rendered(few | many)
 
 
 def test_digit_limit_lifted_only_inside():

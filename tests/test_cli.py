@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipkit.certificates import comparable_form, load_document
+from ipkit import certificates
+from ipkit.certificates import comparable_form, load_document, search_document
 from ipkit.cli import main, parse_sequence_source
 from ipkit.errors import InputError
+from ipkit.search import DEFAULT_MAX_BLOCK, SearchBudget, search_subsystem
+from ipkit.setspec import parse_spec, render_spec
 
 
 def run(capsys, *argv):
@@ -191,6 +194,49 @@ def test_verify_hostile_documents_exit_two(capsys, tmp_path):
             assert (code, out) == (2, ""), (where, value)
             assert err.startswith("error:") and err.count("\n") == 1, (where, value)
             assert len(err) < 200, (where, value, err[:300])
+
+
+@pytest.mark.parametrize(
+    "seq, spec, depth, window, max_block, fs_only",
+    [
+        ("nat:3", "all", 2, None, 1, "after"),
+        ("nat:40", "mod(2,0)", 4, None, DEFAULT_MAX_BLOCK, "between"),
+        ("nat:320", "and(mod(6,0),geq(3))", 18, 300, DEFAULT_MAX_BLOCK, "between"),
+    ],
+)
+def test_search_listing_and_document_match_the_old_renderer(
+    capsys, monkeypatch, tmp_path, seq, spec, depth, window, max_block, fs_only
+):
+    """The FS u FP line, merged from the document's sorted fs and fp arrays,
+    equals the union set sorted and rendered whole, and the document equals
+    the one ``search_document`` builds from the four-argument call.  The
+    document is rendered once: its four value arrays are the only decimal
+    conversions ``certificates`` makes."""
+    rendered = []
+    decimals = certificates._decimals
+    monkeypatch.setattr(certificates, "_decimals", lambda v: rendered.append(decimals(v)) or rendered[-1])
+    path = tmp_path / "cert.json"
+    argv = ["search", "--seq", seq, "--spec", spec, "--depth", str(depth),
+            "--max-block", str(max_block), "--json", str(path)]
+    code, out, err = run(capsys, *argv + (["--window", str(window)] if window else []))
+    assert (code, err) == (0, "")
+    doc = load_document(path)
+    assert rendered == [doc[field] for field in ("x", "ys", "fs", "fp")]
+    x = parse_sequence_source(seq)
+    budget = SearchBudget(depth=depth, window=window or len(x), max_block=max_block)
+    target = parse_spec(spec)
+    outcome = search_subsystem(x, target, budget)
+    fs, fp = outcome.certificate.fs, outcome.certificate.fp
+    only = fs - fp
+    if fs_only == "after":
+        assert only and min(only) > max(fp)
+    else:
+        assert any(min(fp) < v < max(fp) for v in only)
+    listing = [line for line in out.splitlines() if line.startswith("FS u FP")]
+    union = sorted(fs | fp)
+    assert listing == [f"FS u FP ({len(union)} values): " + " ".join(map(str, union))]
+    expected = search_document(outcome, budget, render_spec(target), x[: budget.window])
+    assert comparable_form(doc) == comparable_form(expected)
 
 
 def test_search_output_past_int_str_digit_limit(capsys, tmp_path):

@@ -207,15 +207,30 @@ def test_capped_fold_matches_oracle_or_refuses_at_the_first_term_past_the_cap(mo
 
 
 def test_refused_fold_stops_near_the_cap(monkeypatch):
-    """The 16th power of two would double 2^15 - 1 sums; the fold stops a
-    chunk past the cap instead, so it peaks near a fold of the cap itself."""
+    """The 16th power of two would double 2^15 - 1 sums, and the 16th prime
+    2^15 - 1 products; each fold stops a chunk past the cap instead, so it
+    peaks near a fold of the cap itself."""
     monkeypatch.setattr(fsfp, "FOLD_CAP", 2**15 - 1)
     powers = [2**k for k in range(20)]
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
-    def peak(ys):
+    class Counted(int):
+        """A term that counts the sums and products the fold makes with it."""
+
+        made = 0
+
+        def __radd__(self, other):
+            Counted.made += 1
+            return other + int(self)
+
+        def __rmul__(self, other):
+            Counted.made += 1
+            return other * int(self)
+
+    def peak(fold, ys):
         tracemalloc.start()
         try:
-            finite_sums(ys)
+            fold(ys)
         except RefusalError:
             pass
         finally:
@@ -223,10 +238,17 @@ def test_refused_fold_stops_near_the_cap(monkeypatch):
             tracemalloc.stop()
         return top
 
-    at_cap = peak(powers[:15])
-    with pytest.raises(RefusalError, match="FS of 16 terms exceeds 32767 values"):
-        finite_sums(powers)
-    assert peak(powers) < 1.3 * at_cap
+    for fold, terms, name in ((finite_sums, powers, "FS"), (finite_products, primes, "FP")):
+        assert len(fold(terms[:15])) == 2**15 - 1
+        at_cap = peak(fold, terms[:15])
+        with pytest.raises(RefusalError, match=f"^fold refused: {name} of 16 terms exceeds 32767 values$"):
+            fold(terms)
+        assert peak(fold, terms) < 1.3 * at_cap, name
+        # the 16th term makes one chunk of new values, not one per value so far
+        Counted.made = 0
+        with pytest.raises(RefusalError, match=f"{name} of 16 terms"):
+            fold(terms[:15] + [Counted(terms[15])])
+        assert Counted.made == fsfp._FOLD_CHUNK, name
 
 
 def test_subsystem_sums_examples():
