@@ -112,14 +112,13 @@ def parse_sequence_source(source: str) -> tuple[int, ...]:
     )
 
 
-def _print_values(label: str, values) -> None:
-    ordered = sorted(values)
+def _print_values(label: str, ordered: list) -> None:
     print(f"{label} ({len(ordered)} values): {' '.join(map(str, ordered))}")
 
 
 def _cmd_fold(args) -> int:
     fold = finite_sums if args.command == "fs" else finite_products
-    _print_values(args.command.upper(), fold(parse_sequence_source(args.seq)))
+    _print_values(args.command.upper(), sorted(fold(parse_sequence_source(args.seq))))
     return EXIT_FOUND
 
 
@@ -152,8 +151,7 @@ def _cmd_search(args) -> int:
     if cert is not None:
         for i, (block, y) in enumerate(zip(cert.blocks, doc["ys"]), start=1):
             print(f"H{i} = {{{','.join(map(str, block))}}}  y{i} = {y}")
-        union = merged_decimals(doc["fs"], doc["fp"])
-        print(f"FS u FP ({len(union)} values): {' '.join(union)}")
+        _print_values("FS u FP", merged_decimals(doc["fs"], doc["fp"]))
         print("verified: true")
     elif outcome.kind is OutcomeKind.EXHAUSTED:
         print("no block system within the budget satisfies the spec")
@@ -196,7 +194,7 @@ def _cmd_refute(args) -> int:
         print(f"no refutation within (k={args.depth}, N={args.bound})")
         return EXIT_ABSENT
     print(f"refutation witness: {' '.join(str(t) for t in witness.terms)}")
-    _print_values("FS", witness.fs)
+    _print_values("FS", sorted(witness.fs))
     print(f"every value above avoids: {spec_text}")
     return EXIT_FOUND
 
@@ -215,7 +213,7 @@ def _cmd_hindman(args) -> int:
         return EXIT_ABSENT
     color, witness = result
     print(f"monochromatic witness (color {color}): {' '.join(str(t) for t in witness.terms)}")
-    _print_values("FS", witness.fs)
+    _print_values("FS", sorted(witness.fs))
     return EXIT_FOUND
 
 
