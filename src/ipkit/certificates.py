@@ -149,9 +149,29 @@ def hindman_document(
     return make_document(KIND_HINDMAN, payload)
 
 
+def _digit_strings(values: list) -> bool:
+    """Whether ``values`` are strings of ASCII digits only, checked at C level."""
+    try:
+        return "".join(values).encode("ascii").isdigit()
+    except (TypeError, UnicodeEncodeError):  # a non-string or a non-ASCII character
+        return False
+
+
 def dumps_document(doc: dict) -> str:
-    """Canonical rendering: sorted keys, indent 2, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, byte for byte.
+
+    Its ``indent`` runs the pure-Python encoder, so arrays of digit strings are joined.
+    """
+    if not doc or not all(isinstance(key, str) for key in doc):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    fields = (f"  {json.dumps(key)}: {_field_text(doc[key])}" for key in sorted(doc))
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+def _field_text(value) -> str:
+    if isinstance(value, list) and _digit_strings(value):
+        return '[\n    "' + '",\n    "'.join(value) + '"\n  ]'
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
 def write_document(path, doc: dict) -> None:
@@ -197,11 +217,11 @@ def _decimal_array(doc: dict, name: str, what: str) -> list[int]:
     # C-level passes over the whole array: all strings, ASCII digits only,
     # none empty or with a leading zero (a digit string sorts below "1"
     # exactly then); the value-by-value parse names the first bad one otherwise
-    try:
-        if all(map(str.isascii, values)) and all(map(str.isdigit, values)) and min(values) >= "1":
+    if _digit_strings(values) and min(values) >= "1":
+        try:
             return list(map(int, values))
-    except (TypeError, ValueError):  # a non-string, an empty array, or past the digit limit
-        pass
+        except ValueError:  # past the digit limit
+            pass
     return [_parse_decimal(v, what) for v in values]
 
 

@@ -12,14 +12,14 @@ Sets are value sets; two subsets producing the same value collapse to one
 element, so |FS| <= 2^m - 1 with equality only for collision-free term lists
 such as (1, 2, 4, ..., 2^(m-1)).
 
-Both sets come from one fold, in which each term adds itself and its sums or
-products with every value so far; an :class:`FsFpState` folds its terms once.
+Both sets come from one fold: each term adds itself and the list of its sums or
+products with every value so far, in one update; :class:`FsFpState` folds once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import filterfalse, islice
 
 from .errors import InputError, RefusalError, StructuralError
 
@@ -43,8 +43,8 @@ def _check_terms(terms, what: str = "terms") -> None:
 
 
 def _fold(ys, name: str, grow) -> frozenset[int]:
-    """Fold ``ys`` into a value set: each term adds itself and ``grow(values, y)``
-    over the values so far.
+    """Fold ``ys`` into a value set: each term adds itself and the list
+    ``grow(values, y)`` over the values so far, with one update.
 
     A term at most doubles the set, plus one.  Once that could pass
     ``FOLD_CAP``, the term grows the set chunk by chunk and stops as soon as
@@ -55,12 +55,12 @@ def _fold(ys, name: str, grow) -> frozenset[int]:
     acc: set[int] = set()
     for n, y in enumerate(ys, start=1):
         if 2 * len(acc) + 1 <= FOLD_CAP:
-            acc |= grow(acc, y)
+            acc.update(grow(acc, y))
         else:
             new: set[int] = set()
             rest = iter(acc)
             while len(acc) + len(new) <= FOLD_CAP and (chunk := grow(islice(rest, _FOLD_CHUNK), y)):
-                new |= chunk - acc
+                new.update(filterfalse(acc.__contains__, chunk))
             acc |= new
         acc.add(y)
         if len(acc) > FOLD_CAP:
@@ -70,12 +70,12 @@ def _fold(ys, name: str, grow) -> frozenset[int]:
 
 def finite_sums(ys) -> frozenset[int]:
     """All non-empty subset sums of ``ys``, as a value set."""
-    return _fold(ys, "FS", lambda values, y: {t + y for t in values})
+    return _fold(ys, "FS", lambda values, y: [t + y for t in values])
 
 
 def finite_products(ys) -> frozenset[int]:
     """All non-empty subset products of ``ys``, as a value set."""
-    return _fold(ys, "FP", lambda values, y: {s * y for s in values})
+    return _fold(ys, "FP", lambda values, y: [s * y for s in values])
 
 
 def normalize_block(block) -> tuple[int, ...]:

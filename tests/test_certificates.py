@@ -1,18 +1,24 @@
 """Certificate documents: serialization, round trips, tamper detection."""
 
+import io
 import json
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ipkit import cli
 from ipkit.certificates import (
     FORMAT_VERSION,
     KIND_HINDMAN,
     KIND_REFUTATION,
     KIND_SEARCH,
+    KIND_SEMIGROUP,
     KIND_WITNESS,
+    _decimal_array,
+    _parse_decimal,
     budget_from_document,
     certificate_from_document,
     comparable_form,
@@ -31,10 +37,12 @@ from ipkit.partition import FsWitness
 from ipkit.search import (
     OutcomeKind,
     SearchBudget,
+    SearchOutcome,
     search_subsystem,
     verification_failure,
     verify_certificate,
 )
+from ipkit.semigroup import multiplication_mod, render_table
 from ipkit.setspec import Congruence
 
 BUDGET = SearchBudget(depth=2, window=32)
@@ -72,8 +80,6 @@ def test_decimal_strings_sorted_numerically():
 
 
 def test_not_found_document():
-    from ipkit.search import SearchOutcome
-
     doc = search_document(
         SearchOutcome(OutcomeKind.EXHAUSTED, None, 42), BUDGET, "none", (1, 2, 3)
     )
@@ -254,3 +260,112 @@ def test_shown_cuts_hostile_values():
         deep = [deep]
     for value in (deep, "z" * 100_000, {str(i): list(range(50)) for i in range(50)}):
         assert len(shown(value)) <= SHOWN_CHARS
+
+
+def _oracle(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# digit strings the joined writer takes, and strings it must leave to json.dumps
+digit_texts = st.sampled_from(["1", "6", "007", "0", "", "\u00b2", "\u0663", "9" * 50])
+digit_texts |= st.from_regex(r"[0-9]{1,12}", fullmatch=True)
+odd_texts = st.sampled_from(['"', "\\", "\x00", "\n", "caf\u00e9", "\U0001f600", "a\tb"]) | st.text(max_size=8)
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | digit_texts | odd_texts
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(digit_texts, min_size=1, max_size=6)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+fields = st.lists(digit_texts, min_size=1, max_size=6) | json_values
+# string keys, keys of one other kind, or mixed keys, which may not sort together
+documents = (
+    st.dictionaries(st.text(max_size=6) | digit_texts, fields, max_size=6)
+    | st.dictionaries(st.integers(-3, 3) | st.booleans(), fields, max_size=4)
+    | st.dictionaries(st.text(max_size=2) | st.integers(-3, 3) | st.none(), fields, max_size=3)
+)
+
+
+@given(documents)
+def test_dumps_document_matches_json_dumps_on_any_dict(doc):
+    try:
+        expected = _oracle(doc)
+    except TypeError as exc:  # keys of kinds that do not sort together
+        with pytest.raises(TypeError) as raised:
+            dumps_document(doc)
+        assert str(raised.value) == str(exc)
+    else:
+        assert dumps_document(doc) == expected
+
+
+def test_dumps_document_matches_json_dumps_on_edge_documents():
+    for doc in (
+        {},
+        {"fp": []},
+        {"fp": [""]},
+        {"fp": ["", "1"]},
+        {"fp": ["01", "1"], "fs": ["1", "\u00b2"], "x": ["1", 2], "ys": [["1"]]},
+        {"a": {}, "b": [[]], "c": {"d": ["1", "2"]}, "e": "12"},
+        {1: ["1"], 2: "x"},
+        {"\u00e9\x00": ["7" * 5000]},
+    ):
+        assert dumps_document(doc) == _oracle(doc)
+
+
+def _written(tmp_path, *argv):
+    path = tmp_path / "doc.json"
+    with redirect_stdout(io.StringIO()):
+        cli.main([*argv, "--json", str(path)])
+    return path.read_text(encoding="utf-8")
+
+
+def test_every_written_document_is_json_dumps_of_itself(tmp_path):
+    table = tmp_path / "table.txt"
+    table.write_text(render_table(multiplication_mod(6)))
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_text("".join(f"{v} {v % 2}\n" for v in range(1, 41)))
+    texts = [
+        _written(tmp_path, "search", "--seq", "nat:64", "--spec", "mod(6,0)", "--depth", "5"),
+        _written(tmp_path, "search", "--seq", "nat:8", "--spec", "none", "--depth", "2"),
+        _written(tmp_path, "refute", "--spec", "not(mod(2,0))", "--depth", "4", "--bound", "30"),
+        _written(tmp_path, "refute", "--spec", "all", "--depth", "2", "--bound", "5"),
+        _written(tmp_path, "hindman", "--coloring", str(coloring), "--depth", "2"),
+        _written(tmp_path, "semigroup", "--table", str(table), "--report", "basic"),
+        _written(tmp_path, "semigroup", "--table", str(table), "--report", "full"),
+    ]
+    docs = [json.loads(text) for text in texts]
+    kinds = [KIND_SEARCH] * 2 + [KIND_REFUTATION] * 2 + [KIND_HINDMAN] + [KIND_SEMIGROUP] * 2
+    assert [d["kind"] for d in docs] == kinds
+    assert [d["outcome"] for d in docs[:5]] == ["found", "exhausted", "found", "none", "found"]
+    witness = witness_document(KIND_WITNESS, FsWitness((3, 5, 11)), "all", 3, 20)
+    for text, doc in zip(texts + [dumps_document(witness)], docs + [witness]):
+        assert text == _oracle(doc)
+
+
+decimal_candidates = ["1", "6", "12", "\u00b2", "\u0663", "0", "01", "", "+1", "1_000", " 1", "9" * 4301]
+decimal_candidates += [1, True, None, ["6"]]
+
+
+def _parsed(values):
+    """``_decimal_array``'s verdict and the value-by-value parse's, each a list or an error line."""
+
+    def outcome(parse):
+        try:
+            return parse()
+        except InputError as exc:
+            return f"error: {exc}"
+
+    return (
+        outcome(lambda: _decimal_array({"f": values}, "f", "finite sum")),
+        outcome(lambda: [_parse_decimal(v, "finite sum") for v in values]),
+    )
+
+
+def test_decimal_array_accepts_exactly_what_parse_decimal_accepts():
+    assert _parsed([]) == ([], [])
+    assert _parsed(["12", "6"]) == ([12, 6], [12, 6])
+    for value in decimal_candidates:
+        for values in ([value], ["1", value, "2"], [value, "\u00b2"]):
+            joined, one_by_one = _parsed(values)
+            assert joined == one_by_one
