@@ -72,25 +72,31 @@ def _read_text(path: str) -> str:
         raise InputError(f"{shown(path)} is not UTF-8 text: byte {exc.start}: {exc.reason}") from None
 
 
-def parse_sequence_source(source: str) -> tuple[int, ...]:
-    """Resolve nat:N, pow:b:N, fib:N, or file:PATH to a concrete sequence."""
+def parse_sequence_source(source: str, limit: int | None = None) -> tuple[int, ...]:
+    """Resolve nat:N, pow:b:N, fib:N, or file:PATH to a concrete sequence.
+
+    With ``limit``, nat, pow and fib build at most their first ``limit``
+    terms, so a search window costs what it reads, not N; a file is read
+    whole.  A window past N still meets N terms, and is refused as before.
+    """
     kind, _, rest = source.partition(":")
     if kind == "nat":
         n = _int_field(rest, "nat count")
         if n < 1:
             raise InputError(f"nat count must be >= 1, got {shown(n)}")
-        return tuple(range(1, n + 1))
+        return tuple(range(1, _built(n, limit) + 1))
     if kind == "pow":
         base_text, _, count_text = rest.partition(":")
         base = _int_field(base_text, "pow base")
         n = _int_field(count_text, "pow count")
         if base < 1 or n < 1:
             raise InputError(f"pow base and count must be >= 1, got {shown(base)}, {shown(n)}")
-        return tuple(base**k for k in range(1, n + 1))
+        return tuple(base**k for k in range(1, _built(n, limit) + 1))
     if kind == "fib":
         n = _int_field(rest, "fib count")
         if n < 1:
             raise InputError(f"fib count must be >= 1, got {shown(n)}")
+        n = _built(n, limit)
         terms = [1, 1]
         while len(terms) < n:
             terms.append(terms[-1] + terms[-2])
@@ -112,6 +118,11 @@ def parse_sequence_source(source: str) -> tuple[int, ...]:
     )
 
 
+def _built(n: int, limit: int | None) -> int:
+    """How many of a generated source's ``n`` terms to build under ``limit``."""
+    return n if limit is None else min(n, limit)
+
+
 def _print_values(label: str, ordered: list) -> None:
     print(f"{label} ({len(ordered)} values): {' '.join(map(str, ordered))}")
 
@@ -123,7 +134,7 @@ def _cmd_fold(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    seq = parse_sequence_source(args.seq)
+    seq = parse_sequence_source(args.seq, args.window)
     target = parse_spec(args.spec)
     window = len(seq) if args.window is None else args.window
     budget = SearchBudget(

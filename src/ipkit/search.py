@@ -12,6 +12,14 @@ function of (sequence, target, budget): the first solution in canonical
 order, a proof of exhaustion of the bounded space, or a node-limit report
 that deliberately claims nothing.
 
+The search draws each candidate with its sum from :func:`_candidates`, over
+the terms indexed from 1: for each largest index and size, one
+``combinations`` of the lower indices and one of their terms run in
+lockstep, and ``sum`` adds each block's terms to the top term.  No Python
+frame runs per candidate, and the block's index tuple is built only for a
+candidate the search admits.  :func:`iter_blocks` is the plain enumeration
+of the same order, kept as the reference that generator is tested against.
+
 A good stage-m+1 candidate y must satisfy y in A, t+y in A for every t
 already in the finite-sum set, and s*y in A for every s in the finite-product
 set: the stage constraint.  It is exact, so pruning on it never changes
@@ -75,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb, prod
 
 from .errors import DomainBoundError, InputError, RefusalError, StructuralError, shown
@@ -163,12 +171,40 @@ def iter_blocks(lo: int, hi: int, max_block: int):
     """Canonical enumeration of index blocks inside [lo..hi].
 
     Order: increasing largest index; among equal largest index, increasing
-    size; then lexicographic on the sorted index list.
+    size; then lexicographic on the sorted index list.  The search draws its
+    candidates from :func:`_candidates`; this plain enumeration is the
+    independent reference that generator is tested against, and the one
+    :func:`brute_force_subsystem` and :func:`iter_block_systems` walk.
     """
     for top in range(lo, hi + 1):
         for size in range(1, max_block + 1):
             for rest in combinations(range(lo, top), size - 1):
                 yield rest + (top,)
+
+
+def _candidates(t1: tuple, lo: int, hi: int, max_block: int):
+    """The blocks of :func:`iter_blocks` in its order, each with its sum, as
+    (indices below the top, top index, block sum) over the 1-indexed terms
+    ``t1`` = (0, x_1, x_2, ...).
+
+    The index tuples and the terms below the top are drawn by two
+    ``combinations`` of the same size in lockstep, and each block is summed
+    by ``sum`` from the top term on, so no Python frame runs per candidate.
+    A size that finds too few indices below the top builds no iterators, and
+    the single-index block is yielded as is: a found search tests few
+    candidates per stage, and would pay for them on every visit.
+    """
+    return chain.from_iterable(
+        zip(
+            combinations(range(lo, top), size),
+            repeat(top),
+            map(sum, combinations(t1[lo:top], size), repeat(t1[top])),
+        )
+        if size
+        else (((), top, t1[top]),)
+        for top in range(lo, hi + 1)
+        for size in range(min(max_block, top - lo + 1))
+    )
 
 
 def iter_block_systems(window: int, max_block: int, depth: int):
@@ -322,11 +358,15 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     memo_cap = 0 if period is None else MEMO_CAP
     key = _residue_key(period)
     top = None if period is None else period[0] + period[1]
+    # the terms indexed from 1, as the blocks index them
+    t1 = (0, *terms)
 
     def lookup(members: frozenset):
-        # every stage constraint repeats with period L past T, so y > T+L
-        # is looked up at its representative in [T+1..T+L]
-        return lambda y: key(y) in members
+        # every stage constraint repeats with period L past T, so y > T+L is
+        # looked up at its representative in [T+1..T+L]: _residue_key inlined,
+        # one frame per lookup.  Only a periodic target's stages are listed.
+        first, size = period[0] + 1, period[1]
+        return lambda y: (y if y < first else first + (y - first) % size) in members
 
     def cost(members: frozenset | None, since: tuple) -> int:
         """At most how many target queries listing a stage costs: its pool
@@ -364,8 +404,8 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
         tests = since if members is None else (lookup(members), *since)
         stop = due(members, since)
         # listing on entry is a fast path, not a second copy of the loop's due
-        # check: an empty stage listed here returns before iter_blocks builds a
-        # generator.  Folded into the loop, nodes and certificates stayed the
+        # check: an empty stage listed here returns before _candidates builds
+        # its iterator.  Folded into the loop, nodes and certificates stayed the
         # same and target queries fell by about a tenth, but the search-nodes
         # benchmark (exhausted and node-limit searches) ran about 12% slower.
         if stop <= nodes < budget.node_limit:
@@ -373,7 +413,9 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
                 return False
             since, tests, stop = (), (lookup(members),), budget.node_limit
         # tested: the candidates this visit has tested before this one
-        for tested, block in enumerate(iter_blocks(lo, budget.window, budget.max_block)):
+        for tested, (rest, last, y) in enumerate(
+            _candidates(t1, lo, budget.window, budget.max_block)
+        ):
             # listings in the subtree raise spent and so the stop: recheck it when reached
             if nodes >= stop and nodes >= (stop := due(members, since)):
                 if nodes >= budget.node_limit:
@@ -383,26 +425,26 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
                     return False
                 since, tests, stop = (), (lookup(members),), budget.node_limit
             nodes += 1
-            y = sum(terms[i - 1] for i in block)
             # all() over tests, as a loop: a generator per node costs more than one test
             for test in tests:
                 if not test(y):
                     break
             else:
+                # the block itself is built only for an admitted candidate
                 if stage == budget.depth:
-                    path.append(block)
+                    path.append(rest + (last,))
                     return True
                 # fixes the child's lo, FS keys and FP keys, so its subtree's node count
-                subtree = (stage, block[-1], fs, fp, key(y))
+                subtree = (stage, last, fs, fp, key(y))
                 if (count := memo.get(subtree)) is not None:
                     nodes, limit_hit = _memo_hit(nodes, count, budget.node_limit)
                     if limit_hit:
                         return False
                     continue
-                path.append(block)
+                path.append(rest + (last,))
                 next_fs, next_fp, added = _accept(in_target, fs, fp, y, key)
                 before = nodes
-                if extend(stage + 1, block[-1] + 1, next_fs, next_fp, members, since + added):
+                if extend(stage + 1, last + 1, next_fs, next_fp, members, since + added):
                     return True
                 if limit_hit:
                     return False

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -35,6 +36,56 @@ def test_parse_sequence_sources(tmp_path):
     for bad in ("nat:0", "nat:x", "pow:0:3", "moon:9", "file:", "fib:"):
         with pytest.raises(InputError):
             parse_sequence_source(bad)
+
+
+def test_parse_sequence_source_builds_at_most_its_limit(tmp_path):
+    assert parse_sequence_source("nat:5", 3) == (1, 2, 3)
+    assert parse_sequence_source("nat:5", 9) == (1, 2, 3, 4, 5)
+    assert parse_sequence_source("pow:2:4", 2) == (2, 4)
+    assert parse_sequence_source("fib:6", 1) == (1,)
+    assert parse_sequence_source("fib:6", 4) == (1, 1, 2, 3)
+    path = tmp_path / "seq.txt"
+    path.write_text("3\n1\n4\n")
+    assert parse_sequence_source(f"file:{path}", 2) == (3, 1, 4)
+    for bad in ("nat:0", "pow:0:3", "fib:x"):
+        with pytest.raises(InputError):
+            parse_sequence_source(bad, 2)
+
+
+def _limited_cli(argv, max_bytes):
+    """``python -m ipkit`` with its address space capped at ``max_bytes``."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
+    return subprocess.run(
+        [sys.executable, "-m", "ipkit", *argv], capture_output=True, text=True,
+        preexec_fn=cap, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_search_window_builds_only_the_window_of_a_generated_source(tmp_path):
+    """Each source holds 10^8 terms, about 3.6 GB as a tuple of ints, and the
+    search reads 3 of them: under a 512 MB address space it prints and writes
+    what the 3-term source does, where building them all dies of MemoryError.
+    The documents are compared byte for byte, but for their timestamps."""
+    stamp = re.compile(rb'"created_at": "[^"]*"')
+    for kind in ("nat:", "fib:", "pow:3:"):
+        runs = []
+        for n in (99_999_999, 3):
+            doc = tmp_path / f"{kind.replace(':', '')}{n}.json"
+            argv = ["search", "--seq", f"{kind}{n}", "--spec", "mod(2,0)", "--depth", "1",
+                    "--window", "3", "--json", str(doc)]
+            proc = _limited_cli(argv, 512 << 20)
+            assert (proc.returncode, proc.stderr) == (0, ""), (kind, n, proc.stderr[-300:])
+            runs.append((proc.stdout.replace(str(doc), "DOC"), stamp.sub(b"", doc.read_bytes())))
+        assert runs[0] == runs[1], kind
+    proc = _limited_cli(["search", "--seq", "nat:2", "--spec", "mod(2,0)", "--depth", "1",
+                         "--window", "3"], 512 << 20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: budget window 3 exceeds sequence length 2\n"
 
 
 def test_fs_fp_output(capsys):

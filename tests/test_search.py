@@ -74,6 +74,31 @@ def test_iter_blocks_canonical_order():
     assert sized == [(4,), (1, 4), (2, 4), (3, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
 
+def test_candidates_are_iter_blocks_with_their_sums():
+    """The search's generator against the plain enumeration: the same blocks
+    in the same order, split at the top index, each with its sum."""
+    rng = random.Random(20)
+    cases = collections.Counter()
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        big = rng.random() < 0.3
+        x = tuple(rng.randint(2**64, 2**70) if big else rng.randint(1, 60) for _ in range(n))
+        lo, hi, max_block = rng.randint(1, n + 2), rng.randint(0, n), rng.randint(1, 5)
+        expected = [(b[:-1], b[-1], sum(x[i - 1] for i in b)) for b in iter_blocks(lo, hi, max_block)]
+        assert list(search._candidates((0, *x), lo, hi, max_block)) == expected, (x, lo, hi, max_block)
+        cases["past 2^64"] += big
+        cases["lo > hi"] += lo > hi
+        cases["max_block past the window"] += max_block > hi - lo + 1 >= 1
+        cases[f"max_block {max_block}"] += 1
+    assert min(cases.values()) >= 50, cases
+    assert list(search._candidates((0, 5, 7), 3, 2, 4)) == []
+    assert list(search._candidates((0, 5, 7, 2**64), 2, 3, 5)) == [
+        ((), 2, 7),
+        ((), 3, 2**64),
+        ((2,), 3, 2**64 + 7),
+    ]
+
+
 def test_iter_block_systems_matches_count():
     for window, max_block, depth in [(6, 2, 2), (8, 3, 2), (5, 4, 1), (7, 2, 3)]:
         systems = list(iter_block_systems(window, max_block, depth))
@@ -437,24 +462,24 @@ def _listing_overdraft(monkeypatch, x, spec, budget, allowance):
     listing, beyond nodes + ``allowance``.
 
     A listing is priced as the search prices it: its pool times the tests it
-    filters through.  Nodes are the blocks ``iter_blocks`` has yielded plus
-    the candidates each skip counted in closed form and each memo hit added,
+    filters through.  Nodes are the candidates ``_candidates`` has yielded
+    plus those each skip counted in closed form and each memo hit added,
     which is the search's own count, or one more while a scan is listing.
     """
     seen = [0]
-    # [lo, blocks yielded] of each running enumeration, innermost last
+    # [lo, candidates yielded] of each running enumeration, innermost last
     running = []
     spent = [0]
     worst = [float("-inf")]
 
-    def counted_blocks(lo, hi, max_block, blocks=search.iter_blocks):
+    def counted_candidates(t1, lo, hi, max_block, candidates=search._candidates):
         enumeration = [lo, 0]
         running.append(enumeration)
         try:
-            for block in blocks(lo, hi, max_block):
+            for candidate in candidates(t1, lo, hi, max_block):
                 enumeration[1] += 1
                 seen[0] += 1
-                yield block
+                yield candidate
         finally:
             running.remove(enumeration)
 
@@ -478,7 +503,7 @@ def _listing_overdraft(monkeypatch, x, spec, budget, allowance):
 
     with monkeypatch.context() as m:
         m.setattr(search, "LISTING_ALLOWANCE", allowance)
-        m.setattr(search, "iter_blocks", counted_blocks)
+        m.setattr(search, "_candidates", counted_candidates)
         m.setattr(search, "_block_count", counted_skip)
         m.setattr(search, "_filtered", priced_filter)
         m.setattr(search, "_memo_hit", counted_hit)
@@ -613,20 +638,21 @@ def test_memo_changes_no_outcome_count_certificate_or_error(monkeypatch):
 def test_deep_node_limit_search_enumerates_a_sliver_of_its_nodes(monkeypatch):
     """Sums of multiples of 3 avoid multiples of 7 on no 9-term system (prefix
     sums mod 7), so the search runs to its limit.  Memo hits and skipped
-    stages count all but a sliver of the 10^7 nodes; ``iter_blocks`` yields the
+    stages count all but a sliver of the 10^7 nodes; ``_candidates`` yields the
     rest, 214,592, where the search without a memo yields 2,239,817."""
     yielded = [0]
 
-    def counted_blocks(lo, hi, max_block, blocks=search.iter_blocks):
-        for block in blocks(lo, hi, max_block):
+    def counted_candidates(t1, lo, hi, max_block, candidates=search._candidates):
+        for candidate in candidates(t1, lo, hi, max_block):
             yielded[0] += 1
-            yield block
+            yield candidate
 
-    monkeypatch.setattr(search, "iter_blocks", counted_blocks)
+    monkeypatch.setattr(search, "_candidates", counted_candidates)
     budget = SearchBudget(depth=9, window=45, max_block=3, node_limit=10**7)
     out = search_subsystem(tuple(range(1, 81)), parse_spec("and(mod(3,0),not(mod(7,0)))"), budget)
     assert (out.kind, out.nodes) == (OutcomeKind.NODE_LIMIT, 10**7)
-    assert yielded[0] < out.nodes // 40, yielded[0]
+    assert yielded[0] == 214_592
+    assert yielded[0] < out.nodes // 40
 
 
 def test_determinism():
@@ -822,10 +848,10 @@ def test_self_check_fails_a_search_that_skips_sums_and_products(monkeypatch):
 
 
 def test_self_check_fails_a_block_past_max_block(monkeypatch):
-    def longer(lo, hi, max_block, blocks=search.iter_blocks):
-        return blocks(lo, hi, max_block + 1)
+    def longer(t1, lo, hi, max_block, candidates=search._candidates):
+        return candidates(t1, lo, hi, max_block + 1)
 
-    monkeypatch.setattr(search, "iter_blocks", longer)
+    monkeypatch.setattr(search, "_candidates", longer)
     with pytest.raises(StructuralError, match=r"block \(1, 2, 3\) has more than max_block 2 indices"):
         search_subsystem(NAT32, MOD6, SearchBudget(depth=2, window=32, max_block=2))
 
@@ -873,10 +899,14 @@ def test_search_refuses_depth_past_verify_cap_before_searching(monkeypatch):
     def no_candidates(*args):
         raise AssertionError("a candidate block was enumerated")
 
-    monkeypatch.setattr("ipkit.search.iter_blocks", no_candidates)
+    monkeypatch.setattr(search, "_candidates", no_candidates)
     x = tuple(range(1, 61))
     with pytest.raises(RefusalError, match="search depth 23 exceeds verification cap 22"):
         search_subsystem(x, Congruence(1, 0), SearchBudget(depth=23, window=60, max_block=1))
+    # the patched generator is the one the search draws from: one depth lower,
+    # the search reaches it
+    with pytest.raises(AssertionError, match="a candidate block was enumerated"):
+        search_subsystem(x, Congruence(1, 0), SearchBudget(depth=22, window=60, max_block=1))
 
 
 def test_budget_failure():
