@@ -10,7 +10,6 @@ Sequence sources: ``nat:N`` (1..N), ``pow:b:N`` (b, b^2, ..., b^N),
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .certificates import (
@@ -52,8 +51,6 @@ EXIT_FOUND = 0
 EXIT_ABSENT = 1
 EXIT_ERROR = 2
 EXIT_NODE_LIMIT = 3
-
-ORDER_CAP_ENV = "IPKIT_ORDER_CAP"
 
 
 def _int_field(text: str, what: str) -> int:
@@ -228,22 +225,12 @@ def _cmd_hindman(args) -> int:
     return EXIT_FOUND
 
 
-def _resolve_order_cap(args) -> int | None:
-    if args.order_cap is not None:
-        return args.order_cap
-    env = os.environ.get(ORDER_CAP_ENV)
-    if env is not None:
-        return _int_field(env, ORDER_CAP_ENV)
-    return None
-
-
 def _format_sets(sets) -> str:
     return " ".join("{" + ",".join(str(v) for v in sorted(s)) + "}" for s in sets)
 
 
 def _cmd_semigroup(args) -> int:
     sg = parse_table(_read_text(args.table))
-    cap = _resolve_order_cap(args)
     ids = idempotents(sg)
     print(f"order: {sg.order}")
     print(f"idempotents: {' '.join(str(e) for e in sorted(ids))}")
@@ -253,11 +240,11 @@ def _cmd_semigroup(args) -> int:
         "report": args.report,
     }
     if args.report == "full":
-        structure = ideal_structure(sg, cap)
+        structure = ideal_structure(sg, args.order_cap)
         print(f"minimal left ideals: {_format_sets(structure.minimal_left)}")
         print(f"minimal right ideals: {_format_sets(structure.minimal_right)}")
         print(f"kernel K: {{{','.join(str(v) for v in sorted(structure.kernel))}}}")
-        order_info = idempotent_order(sg, cap, structure.kernel)
+        order_info = idempotent_order(sg, args.order_cap, structure.kernel)
         print(f"minimal idempotents: {' '.join(str(e) for e in sorted(order_info.minimal))}")
         pairs = 0
         all_groups = True
@@ -353,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--order-cap",
         type=int,
         default=None,
-        help=f"ideal-enumeration order cap (default 12; env {ORDER_CAP_ENV})",
+        help="ideal-enumeration order cap (default 12)",
     )
     p.add_argument("--json", metavar="PATH", help="write the report document here")
     p.set_defaults(func=_cmd_semigroup)

@@ -54,8 +54,10 @@ def _first_witness(bound: int, depth: int, test_for) -> FsWitness | None:
     ``test_for(x_1)`` gives the membership test that x_1, every later term
     and every sum must pass.  Pruning prefixes whose sums fail skips nothing.
     A prefix carries each distinct sum once, at its first occurrence, so the
-    tests run in the order of all subset sums minus repeats, and at most
-    depth*bound sums are held: FS of k terms <= N has at most k*N values.
+    tests run in the order of all subset sums minus repeats, and one prefix
+    holds at most depth*bound sums: FS of k terms <= N has at most k*N
+    values.  Each prefix on the path keeps its own copy, so up to about
+    depth**2 * bound / 2 sums are held at once.
     """
 
     def extend(chosen: tuple[int, ...], sums: dict[int, None], admissible):

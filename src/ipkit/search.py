@@ -41,18 +41,19 @@ of its tests does not matter.  A stage's members in the period window
 [1..T+L] may also be listed: the search carries down the members of the
 nearest listed stage on its path and the tests added since, and filters the
 one through the other.  A listed stage costs one lookup per candidate, at
-its representative in [T+1..T+L] when the candidate is larger.  An empty one
-is not scanned: its remaining candidates are counted in closed form, clamped
-at the node limit exactly as the scan would stop.  A stage is listed, on
-entry or mid-scan, only once the nodes counted so far pay for the target
-queries listing costs, so all listings together spend at most nodes +
-``LISTING_ALLOWANCE`` queries; listings below a stage raise that spending,
-so the node count its listing waits for is rechecked when reached.  A lookup
-stands in for a prefix of the tests, so listing never makes more than nodes
-+ ``LISTING_ALLOWANCE`` target queries (one per test run) beyond what the
-unlisted tests would, and never changes node counts, outcomes or
-certificates.  It gains when the search tests many more nodes than T+L:
-exhausting and node-limited searches over small periods.
+its representative in [T+1..T+L] when the candidate is larger.  A stage is
+listed at one site, in its scan before it tests a candidate, and only once
+the nodes counted so far pay for the target queries listing costs, so all
+listings together spend at most nodes + ``LISTING_ALLOWANCE`` queries;
+listings below a stage raise that spending, so the node count its listing
+waits for is rechecked when reached.  A stage with no candidates is never
+listed.  An empty listed stage is scanned no further: its remaining
+candidates are counted in closed form, clamped at the node limit exactly as
+the scan would stop.  A lookup stands in for a prefix of the tests, so
+listing never makes more than nodes + ``LISTING_ALLOWANCE`` target queries
+(one per test run) beyond what the unlisted tests would, and never changes
+node counts, outcomes or certificates.  It gains when the search tests many
+more nodes than T+L: exhausting and node-limited searches over small periods.
 
 An admitted candidate below the last stage fixes its subtree by (stage,
 its last index, the FS and FP keys so far, its own key): the child's lo,
@@ -379,39 +380,14 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
             return budget.node_limit
         return min(budget.node_limit, spent + cost(members, since) - LISTING_ALLOWANCE)
 
-    def list_members(members: frozenset | None, since: tuple, lo: int, tested: int):
-        """The stage's window members, filtered from ``members`` (or [1..T+L])
-        through ``since``; None once an empty stage's remaining candidates
-        are counted as the loop would test them."""
-        nonlocal nodes, limit_hit, spent
-        spent += cost(members, since)
-        members = _filtered(range(1, top + 1) if members is None else members, since)
-        if members:
-            return members
-        rest = _block_count(budget.window - lo + 1, budget.max_block) - tested
-        if nodes + rest <= budget.node_limit:
-            nodes += rest
-        else:
-            nodes, limit_hit = budget.node_limit, True
-        return None
-
     def extend(
         stage: int, lo: int, fs: frozenset, fp: frozenset, members: frozenset | None, since: tuple
     ) -> bool:
         # members: the window members of the nearest listed stage on the path,
         # or None; since: the tests added below it, from the compiled target
-        nonlocal nodes, limit_hit, held
+        nonlocal nodes, limit_hit, held, spent
         tests = since if members is None else (lookup(members), *since)
         stop = due(members, since)
-        # listing on entry is a fast path, not a second copy of the loop's due
-        # check: an empty stage listed here returns before _candidates builds
-        # its iterator.  Folded into the loop, nodes and certificates stayed the
-        # same and target queries fell by about a tenth, but the search-nodes
-        # benchmark (exhausted and node-limit searches) ran about 12% slower.
-        if stop <= nodes < budget.node_limit:
-            if (members := list_members(members, since, lo, 0)) is None:
-                return False
-            since, tests, stop = (), (lookup(members),), budget.node_limit
         # tested: the candidates this visit has tested before this one
         for tested, (rest, last, y) in enumerate(
             _candidates(t1, lo, budget.window, budget.max_block)
@@ -421,7 +397,17 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
                 if nodes >= budget.node_limit:
                     limit_hit = True
                     return False
-                if (members := list_members(members, since, lo, tested)) is None:
+                # list the stage's window members: filter those of the nearest
+                # listed stage, or [1..T+L], through the tests added since
+                spent += cost(members, since)
+                members = _filtered(range(1, top + 1) if members is None else members, since)
+                if not members:
+                    # count the remaining candidates as the loop would test them
+                    untested = _block_count(budget.window - lo + 1, budget.max_block) - tested
+                    if nodes + untested <= budget.node_limit:
+                        nodes += untested
+                    else:
+                        nodes, limit_hit = budget.node_limit, True
                     return False
                 since, tests, stop = (), (lookup(members),), budget.node_limit
             nodes += 1

@@ -619,16 +619,18 @@ def test_semigroup_non_associative_exit_two(capsys, tmp_path):
 def test_semigroup_order_cap_env_and_flag(capsys, tmp_path, monkeypatch):
     table = tmp_path / "z5.txt"
     table.write_text("5\n" + "\n".join(" ".join(str((a + b) % 5) for b in range(5)) for a in range(5)) + "\n")
-    monkeypatch.setenv("IPKIT_ORDER_CAP", "4")
-    code, _, err = run(capsys, "semigroup", "--table", str(table), "--report", "full")
+    # the cap is set by the flag alone: the IPKIT_ORDER_CAP variable is ignored
+    monkeypatch.setenv("IPKIT_ORDER_CAP", "5")
+    code, _, err = run(
+        capsys, "semigroup", "--table", str(table), "--report", "full", "--order-cap", "4"
+    )
     assert code == 2
     assert "refused at order 5" in err
-    # explicit flag beats the environment
-    code, out, _ = run(
-        capsys, "semigroup", "--table", str(table), "--report", "full", "--order-cap", "5"
-    )
-    assert code == 0
-    assert "kernel K: {0,1,2,3,4}" in out
+    monkeypatch.setenv("IPKIT_ORDER_CAP", "4")
+    for cap in (("--order-cap", "5"), ()):
+        code, out, _ = run(capsys, "semigroup", "--table", str(table), "--report", "full", *cap)
+        assert code == 0
+        assert "kernel K: {0,1,2,3,4}" in out
 
 
 def test_dilate_output(capsys):

@@ -417,7 +417,8 @@ def test_window_path_matches_unlisted_path_and_brute_force(monkeypatch):
 def test_skipped_stage_counts_and_clamps_like_the_loop(monkeypatch):
     """Odd + odd is even: after each odd y >= 5, stage 2 admits nothing and is
     skipped, or taken from the memo when an earlier term had the same last
-    index and residue key."""
+    index and residue key.  A y whose block ends at the window leaves stage 2
+    no candidates, so that stage is neither listed nor skipped."""
     parity = parse_spec("and(not(mod(2,0)),geq(5))")
     for window, max_block in ((9, 2), (12, 3), (15, 4)):
         x = tuple(range(1, window + 1))
@@ -429,8 +430,10 @@ def test_skipped_stage_counts_and_clamps_like_the_loop(monkeypatch):
         admitted = sum(parity.contains(sum(b)) for b in blocks)
         key = search._residue_key(eventual_period(parity))
         kept = {(b[-1], key(sum(b))) for b in blocks if parity.contains(sum(b))}
+        # the subtrees not taken from the memo whose stage 2 has candidates
+        scanned = sum(last < window for last, _ in kept)
         for allowance in (search.LISTING_ALLOWANCE, 0):
-            assert skips[allowance] + hits[allowance] == admitted, allowance
+            assert skips[allowance] == scanned < len(kept), allowance
             assert hits[allowance] == admitted - len(kept) > 0, allowance
         assert total == count_block_systems(window, max_block, 1) + sum(
             len(list(iter_blocks(b[-1] + 1, window, max_block)))
@@ -441,9 +444,27 @@ def test_skipped_stage_counts_and_clamps_like_the_loop(monkeypatch):
             out, _, _ = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block, limit))
             assert (out.kind, out.nodes) == (OutcomeKind.NODE_LIMIT, limit), limit
         # a limit of exactly the total still exhausts; at windows 9 and 12 the
-        # last candidate's sum is odd, so the search ends on a skip of no candidates
+        # last candidate's sum is odd, so the search ends on a stage 2 with no candidates
         out, _, _ = _on_both_paths(monkeypatch, x, parity, SearchBudget(2, window, max_block, total))
         assert (out.kind, out.nodes) == (OutcomeKind.EXHAUSTED, total)
+    # only the last term is admitted, and once stage 1 is listed its stage 2
+    # is due at either allowance, but has no candidates: it is never listed
+    x, budget = (2,) * 11 + (5,), SearchBudget(depth=2, window=12, max_block=1)
+    out, skips, _ = _on_both_paths(monkeypatch, x, parity, budget)
+    assert (out.kind, out.nodes, skips) == (OutcomeKind.EXHAUSTED, 12, {search.LISTING_ALLOWANCE: 0, 0: 0})
+    for allowance in (search.LISTING_ALLOWANCE, 0):
+        pools = []
+
+        def recorded_filter(pool, tests, filtered=search._filtered):
+            pools.append(tuple(pool))
+            return filtered(pool, tests)
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "LISTING_ALLOWANCE", allowance)
+            m.setattr(search, "_filtered", recorded_filter)
+            search_subsystem(x, parity, budget)
+        # stage 1's pool, [1..T+L]
+        assert pools == [tuple(range(1, sum(eventual_period(parity)) + 1))], allowance
 
 
 def test_wide_period_found_quickly_lists_nothing(monkeypatch):
@@ -639,7 +660,9 @@ def test_deep_node_limit_search_enumerates_a_sliver_of_its_nodes(monkeypatch):
     """Sums of multiples of 3 avoid multiples of 7 on no 9-term system (prefix
     sums mod 7), so the search runs to its limit.  Memo hits and skipped
     stages count all but a sliver of the 10^7 nodes; ``_candidates`` yields the
-    rest, 214,592, where the search without a memo yields 2,239,817."""
+    rest, 214,800, where the search without a memo yields 2,321,426.  A stage
+    due on entry draws its first candidate before it is listed, and that draw
+    counts here."""
     yielded = [0]
 
     def counted_candidates(t1, lo, hi, max_block, candidates=search._candidates):
@@ -651,7 +674,7 @@ def test_deep_node_limit_search_enumerates_a_sliver_of_its_nodes(monkeypatch):
     budget = SearchBudget(depth=9, window=45, max_block=3, node_limit=10**7)
     out = search_subsystem(tuple(range(1, 81)), parse_spec("and(mod(3,0),not(mod(7,0)))"), budget)
     assert (out.kind, out.nodes) == (OutcomeKind.NODE_LIMIT, 10**7)
-    assert yielded[0] == 214_592
+    assert yielded[0] == 214_800
     assert yielded[0] < out.nodes // 40
 
 
