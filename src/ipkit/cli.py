@@ -26,7 +26,7 @@ from .certificates import (
     write_document,
 )
 from .errors import DomainBoundError, InputError, RefusalError, StructuralError, shown
-from .fsfp import finite_products, finite_sums
+from .fsfp import ascending_products, ascending_sums
 from .partition import hindman_finite, ip_star_refute, parse_coloring
 from .search import (
     DEFAULT_MAX_BLOCK,
@@ -120,13 +120,13 @@ def _built(n: int, limit: int | None) -> int:
     return n if limit is None else min(n, limit)
 
 
-def _print_values(label: str, ordered: list) -> None:
+def _print_values(label: str, ordered: list | tuple) -> None:
     print(f"{label} ({len(ordered)} values): {' '.join(map(str, ordered))}")
 
 
 def _cmd_fold(args) -> int:
-    fold = finite_sums if args.command == "fs" else finite_products
-    _print_values(args.command.upper(), sorted(fold(parse_sequence_source(args.seq))))
+    fold = ascending_sums if args.command == "fs" else ascending_products
+    _print_values(args.command.upper(), fold(parse_sequence_source(args.seq)))
     return EXIT_FOUND
 
 

@@ -12,14 +12,22 @@ Sets are value sets; two subsets producing the same value collapse to one
 element, so |FS| <= 2^m - 1 with equality only for collision-free term lists
 such as (1, 2, 4, ..., 2^(m-1)).
 
-Both sets come from one fold: each term adds itself and the list of its sums or
-products with every value so far, in one update; :class:`FsFpState` folds once.
+Both sets come from one fold that keeps its values as an ascending list: each
+term's sums (or products) with the values so far form a second ascending run,
+so one ``list.sort`` merges the held values, the term and that run in linear
+time, and one C-level pass drops repeats.  When the term and its new values all
+lie above the held ones, the runs are simply concatenated.  The fold's order
+is kept: :func:`ascending_sums`/:func:`ascending_products` return it as a
+tuple, and :func:`finite_sums`/:func:`finite_products` return frozensets that
+iterate in it, so sorting one is a single pass.  :class:`FsFpState` folds once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from itertools import compress, islice, repeat
+from operator import ne, sub
 
 from .errors import InputError, RefusalError, StructuralError
 
@@ -42,40 +50,96 @@ def _check_terms(terms, what: str = "terms") -> None:
             raise InputError(f"{what} must be >= 1, got {t}")
 
 
-def _fold(ys, name: str, grow) -> frozenset[int]:
-    """Fold ``ys`` into a value set: each term adds itself and the list
-    ``grow(values, y)`` over the values so far, with one update.
+def _fold(ys, name: str, grow) -> tuple[int, ...]:
+    """Fold ``ys`` into its ascending values: each term adds itself and the
+    ascending list ``grow(values, y)`` over the values so far.
 
-    A term at most doubles the set, plus one.  Once that could pass
-    ``FOLD_CAP``, the term grows the set chunk by chunk and stops as soon as
-    the cap is passed, so a refused fold never holds much more than the cap.
+    A term at most doubles the values, plus one.  Once that could pass
+    ``FOLD_CAP``, the term grows them chunk by chunk and stops as soon as the
+    cap is passed, so a refused fold never holds much more than the cap.
     """
     ys = tuple(ys)
     _check_terms(ys)
-    acc: set[int] = set()
+    values: list[int] = []
     for n, y in enumerate(ys, start=1):
-        if 2 * len(acc) + 1 <= FOLD_CAP:
-            acc.update(grow(acc, y))
-        else:
-            new: set[int] = set()
-            rest = iter(acc)
-            while len(acc) + len(new) <= FOLD_CAP and (chunk := grow(islice(rest, _FOLD_CHUNK), y)):
-                new.update(filterfalse(acc.__contains__, chunk))
-            acc |= new
-        acc.add(y)
-        if len(acc) > FOLD_CAP:
+        grown = grow(values, y) if 2 * len(values) + 1 <= FOLD_CAP else _new_to_cap(values, y, grow)
+        if grown is None or len(values := _merged(values, y, grown)) > FOLD_CAP:
             raise RefusalError(f"fold refused: {name} of {n} terms exceeds {FOLD_CAP} values")
-    return frozenset(acc)
+    return tuple(values)
 
 
-def finite_sums(ys) -> frozenset[int]:
-    """All non-empty subset sums of ``ys``, as a value set."""
+def _new_to_cap(values: list, y: int, grow) -> list | None:
+    """The ascending values ``grow(values, y)`` adds to ``values``, grown
+    ``_FOLD_CHUNK`` source values at a time; None once they pass the cap.
+
+    A chunk above the held values is new as a whole; any other is looked up
+    in them by bisection, so no set of the held values is built.
+    """
+    new: list[int] = []
+    room = FOLD_CAP - len(values)
+    rest = iter(values)
+    while len(new) <= room and (chunk := grow(islice(rest, _FOLD_CHUNK), y)):
+        if chunk[0] > values[-1]:
+            new += chunk
+        else:
+            # v is held iff the value just below its insertion point is v
+            below = map(values.__getitem__, map(sub, map(bisect_right, repeat(values), chunk), repeat(1)))
+            new += compress(chunk, map(ne, below, chunk))
+    return new if len(new) <= room else None
+
+
+def _merged(values: list, y: int, grown: list) -> list:
+    """The ascending union of the ascending, repeat-free ``values``, ``[y]``
+    and ``grown``: concatenated when they follow one another, else sorted (a
+    linear merge of the runs) and stripped of repeats.  ``values`` is
+    extended in place."""
+    follows = (not values or values[-1] < y) and (not grown or y < grown[0])
+    values.append(y)
+    values += grown
+    if follows:
+        return values
+    values.sort()
+    unique = list(compress(values, map(ne, values, islice(values, 1, None))))
+    unique.append(values[-1])
+    return unique
+
+
+def ascending_sums(ys) -> tuple[int, ...]:
+    """All non-empty subset sums of ``ys``, each once, in ascending order."""
     return _fold(ys, "FS", lambda values, y: [t + y for t in values])
 
 
-def finite_products(ys) -> frozenset[int]:
-    """All non-empty subset products of ``ys``, as a value set."""
+def ascending_products(ys) -> tuple[int, ...]:
+    """All non-empty subset products of ``ys``, each once, in ascending order."""
     return _fold(ys, "FP", lambda values, y: [s * y for s in values])
+
+
+class _Ascending(frozenset):
+    """A fold's value set, iterated in ascending order, so ``sorted()`` of it
+    is one linear pass.  Set operators return plain frozensets."""
+
+    __slots__ = ("_order",)
+
+    def __new__(cls, ascending: tuple[int, ...]):
+        self = super().__new__(cls, ascending)
+        self._order = tuple(ascending)
+        return self
+
+    def __iter__(self):
+        return iter(self._order)
+
+    def __reduce__(self):
+        return type(self), (self._order,)
+
+
+def finite_sums(ys) -> frozenset[int]:
+    """All non-empty subset sums of ``ys``, as a value set iterated in ascending order."""
+    return _Ascending(ascending_sums(ys))
+
+
+def finite_products(ys) -> frozenset[int]:
+    """All non-empty subset products of ``ys``, as a value set iterated in ascending order."""
+    return _Ascending(ascending_products(ys))
 
 
 def normalize_block(block) -> tuple[int, ...]:

@@ -73,11 +73,15 @@ depends on that order, which the key leaves out.
 :func:`brute_force_subsystem` re-derives the answer with no pruning and no
 incremental state, enumerating every subset of its terms for FS and FP.
 :func:`verify_certificate` rechecks a found certificate from scratch, with FS
-and FP rebuilt by the set fold of :mod:`fsfp`, so its cost follows |FS| +
-|FP| rather than 2^depth, and tested by the compiled target of the re-parsed
-spec.  The search folds FS and FP once for each certificate it returns and
-rechecks only what a search bug could break: the block order, every value of
-FS u FP against the re-parsed spec, and the budget.
+and FP rebuilt as ascending tuples by the fold of :mod:`fsfp` over the sorted
+terms, so its cost follows |FS| + |FP| rather than 2^depth.  Each tuple is
+compared with the recorded set by size and containment, so no second set is
+built, and its values are tested by the compiled target of the re-parsed
+spec.  The search folds FS and FP once, over its sorted block sums, for each
+certificate it returns; the certificate's sets iterate in ascending order, so
+sorting them for its document is one linear pass.  It rechecks only what a
+search bug could break: the block order, every value of FS u FP against the
+re-parsed spec, and the budget.
 """
 
 from __future__ import annotations
@@ -90,7 +94,10 @@ from math import comb, prod
 from .errors import DomainBoundError, InputError, RefusalError, StructuralError, shown
 from .fsfp import (
     FsFpState,
+    _Ascending,
     _check_terms,
+    ascending_products,
+    ascending_sums,
     check_block_order,
     finite_products,
     finite_sums,
@@ -443,7 +450,10 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
     if extend(1, 1, frozenset(), frozenset(), None, (in_target,)):
         blocks = tuple(path)
         ys = tuple(sum(terms[i - 1] for i in block) for block in blocks)
-        fs, fp = finite_sums(ys), finite_products(ys)
+        # FS and FP do not depend on the terms' order, and smaller terms
+        # first hold fewer values along the way
+        ascending = sorted(ys)
+        fs, fp = finite_sums(ascending), finite_products(ascending)
         cert = Certificate(terms[: blocks[-1][-1]], blocks, ys, fs, fp, spec_text)
         # x, ys, FS and FP hold by construction: recheck what a search bug can break
         check_block_order(blocks)
@@ -527,16 +537,27 @@ def verification_failure(cert: Certificate) -> str | None:
     ys = tuple(sum(cert.x[i - 1] for i in block) for block in blocks)
     if ys != tuple(cert.ys):
         return f"recomputed block sums {ys} != recorded {tuple(cert.ys)}"
-    fs, fp = finite_sums(ys), finite_products(ys)
-    if fs != cert.fs:
+    ascending = sorted(ys)
+    fs, fp = ascending_sums(ascending), ascending_products(ascending)
+    if _differs(fs, cert.fs):
         return "recorded finite-sum set does not match recomputation"
-    if fp != cert.fp:
+    if _differs(fp, cert.fp):
         return "recorded finite-product set does not match recomputation"
     return membership_failure(target, fs, fp)
 
 
-def membership_failure(target: SetSpec, fs: frozenset, fp: frozenset) -> str | None:
-    """The first value of sorted FS u FP outside ``target``, as a failure, or None."""
+def _differs(values: tuple, recorded):
+    """``frozenset(values) != recorded`` for the repeat-free ``values`` of a
+    fold: a set is compared by size and containment, so no other is built."""
+    if type(recorded) in (frozenset, set, _Ascending):
+        return len(values) != len(recorded) or not recorded.issuperset(values)
+    return frozenset(values) != recorded
+
+
+def membership_failure(target: SetSpec, fs, fp) -> str | None:
+    """The first value of sorted FS u FP outside ``target``, as a failure, or None.
+
+    ``fs`` and ``fp`` may be any iterables of integers >= 1."""
     # FS and FP hold integers >= 1: the compiled target needs no checks
     in_target = target.predicate()
     try:
@@ -546,7 +567,7 @@ def membership_failure(target: SetSpec, fs: frozenset, fp: frozenset) -> str | N
         pass
     # a value outside the target, or a query outside a bits domain: the
     # sorted scan names the first such value, or raises at the first query
-    for v in sorted(fs | fp):
+    for v in sorted({*fs, *fp}):
         if not in_target(v):
             return f"element {v} of FS u FP is not in the target set"
     return None

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -77,6 +78,19 @@ def test_decimal_strings_sorted_numerically():
     as_ints = [int(s) for s in doc["fs"]]
     assert as_ints == sorted(as_ints)
     assert all(isinstance(s, str) for s in doc["fs"] + doc["fp"] + doc["ys"] + doc["x"])
+
+
+def test_a_replaced_fold_is_still_written_sorted():
+    """A found certificate's sets iterate in ascending order; one replaced by a
+    set operator is a plain frozenset, and its document arrays are sorted too."""
+    budget = SearchBudget(depth=5, window=64)
+    outcome = search_subsystem(tuple(range(1, 65)), Congruence(6, 0), budget)
+    cert = outcome.certificate
+    replaced = replace(cert, fs=cert.fs | {13, 10**30}, fp=cert.fp | {7})
+    assert type(replaced.fs) is type(replaced.fp) is frozenset
+    doc = search_document(replace(outcome, certificate=replaced), budget, "mod(6,0)", ())
+    assert doc["fs"] == [str(v) for v in sorted(cert.fs | {13, 10**30})]
+    assert doc["fp"] == [str(v) for v in sorted(cert.fp | {7})]
 
 
 def test_not_found_document():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fp_oracle, fs_oracle
 from ipkit import certificates
 from ipkit.certificates import comparable_form, load_document, search_document
 from ipkit.cli import main, parse_sequence_source
@@ -370,6 +371,78 @@ def test_verify_fuzzed_documents_keep_the_exit_contract(found_document, field, v
         code = main(["verify", "--cert", str(path)])
     assert code in (0, 1, 2)
     assert (code == 2) == err.getvalue().startswith("error:")
+
+
+BUDGET_FIELDS = ("depth", "max_block", "node_limit", "window")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_fuzzed_budgets_keep_the_exit_contract(found_document, data):
+    """A budget is refused (exit 2) exactly when it is not four integer fields >= 1."""
+    path, doc = found_document
+    budget = dict(doc["budget"])
+    for _ in range(data.draw(st.integers(1, 3))):
+        key = data.draw(st.sampled_from(BUDGET_FIELDS) | st.text(max_size=6))
+        if data.draw(st.booleans()):
+            budget.pop(key, None)
+        else:
+            budget[key] = data.draw(json_values | st.integers(1, 10**7))
+    path.write_text(json.dumps({**doc, "budget": budget}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--cert", str(path)])
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error:")
+    valid = sorted(budget) == list(BUDGET_FIELDS) and all(type(v) is int and v >= 1 for v in budget.values())
+    assert (code == 2) is not valid
+
+
+@pytest.fixture(scope="module")
+def four_block_document(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["search", "--seq", "nat:60", "--spec", "mod(6,0)", "--depth", "4",
+                     "--json", str(path)]) == 0
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_fuzzed_value_arrays_get_the_set_comparison_verdict(four_block_document, data):
+    """Permuted, duplicated, dropped, added and replaced fs/fp values get the
+    verdict and message of comparing the recorded values, as a set, with FS
+    and FP of the recorded terms."""
+    path, doc = four_block_document
+    name = data.draw(st.sampled_from(("fs", "fp")))
+    values = list(doc[name])
+    decimals = st.integers(1, 20000).map(str) | st.sampled_from(doc["fs"] + doc["fp"])
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(("permute", "duplicate", "drop", "add", "replace")))
+        if kind == "permute":
+            values = data.draw(st.permutations(values))
+        elif kind == "add" or not values:
+            values.insert(data.draw(st.integers(0, len(values))), data.draw(decimals))
+        elif kind == "duplicate":
+            values.insert(data.draw(st.integers(0, len(values))), data.draw(st.sampled_from(values)))
+        elif kind == "drop":
+            values.pop(data.draw(st.integers(0, len(values) - 1)))
+        else:
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(decimals)
+    mutated = {**doc, name: values}
+    path.write_text(json.dumps(mutated))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--cert", str(path)])
+    ys = [int(y) for y in doc["ys"]]
+    fs, fp = (frozenset(map(int, mutated[k])) for k in ("fs", "fp"))
+    if fs != fs_oracle(ys):
+        expected = 1, "certificate does not verify: recorded finite-sum set does not match recomputation\n"
+    elif fp != fp_oracle(ys):
+        expected = 1, "certificate does not verify: recorded finite-product set does not match recomputation\n"
+    else:
+        expected = 0, f"certificate verifies: 4 blocks, {len(fs | fp)} FS u FP values inside mod(6,0)\n"
+    assert (code, out.getvalue(), err.getvalue()) == (*expected, "")
 
 
 def test_refute_found_and_absent(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Finite-sum/finite-product sets: enumis, incremental identity, state coherence."""
 
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -13,6 +15,8 @@ from ipkit.errors import InputError, RefusalError, StructuralError
 from ipkit.fsfp import (
     EMPTY_STATE,
     FsFpState,
+    ascending_products,
+    ascending_sums,
     check_block_order,
     extend_state,
     finite_products,
@@ -58,11 +62,26 @@ def test_arbitrary_precision_products():
 @given(terms_lists)
 def test_sums_match_subset_oracle(ys):
     assert finite_sums(ys) == fs_oracle(ys)
+    assert list(finite_sums(ys)) == list(ascending_sums(ys)) == sorted(fs_oracle(ys))
 
 
 @given(terms_lists)
 def test_products_match_subset_oracle(ys):
     assert finite_products(ys) == fp_oracle(ys)
+    assert list(finite_products(ys)) == list(ascending_products(ys)) == sorted(fp_oracle(ys))
+
+
+def test_folds_keep_their_values_and_order_through_pickling_and_copying():
+    for fold in (finite_sums((9, 2, 30, 2, 5)), finite_products((9, 2, 30, 2, 5, 1)), finite_sums((4,))):
+        assert list(fold) == sorted(fold)
+        for twin in (pickle.loads(pickle.dumps(fold)), copy.copy(fold), copy.deepcopy(fold)):
+            assert isinstance(twin, frozenset) and twin == fold
+            assert list(twin) == list(fold)
+        # set operators give plain frozensets, ordered or not
+        assert type(fold | {7}) is type(fold - {4}) is frozenset
+    state = state_of((9, 2, 30))
+    twin = pickle.loads(pickle.dumps(state))
+    assert twin == state and list(twin.fs) == list(state.fs) and list(twin.fp) == list(state.fp)
 
 
 @given(terms_lists, st.integers(min_value=1, max_value=50))
@@ -197,6 +216,7 @@ def test_capped_fold_matches_oracle_or_refuses_at_the_first_term_past_the_cap(mo
             over = next((n for n in range(1, len(ys) + 1) if len(oracle(ys[:n])) > cap), None)
             if over is None:
                 assert fold(ys) == oracle(ys)
+                assert list(fold(ys)) == sorted(oracle(ys))
                 # a term that began past half the cap grew chunk by chunk
                 grown += 2 * len(oracle(ys[:-1])) + 1 > cap
             else:
