@@ -4,6 +4,8 @@ One document shape for every artifact, discriminated by a ``kind`` field:
 
 * ``subsystem-search``: a search outcome; when found, the full certificate
   (window, blocks, block sums, FS and FP listings, target spec, budget).
+  FS and FP are written ascending, from the certificate's tuples, and read
+  back as tuples in their recorded order, which ``verify`` reads as value sets.
 * ``fs-witness`` / ``ip-refutation``: witness terms and their finite sums.
 * ``hindman``: a monochromatic witness inside a finite coloring, or absence.
 * ``semigroup-report``: structural report on a finite Cayley table.
@@ -253,8 +255,9 @@ def budget_from_document(doc: dict) -> tuple[SearchBudget, int]:
 def certificate_from_document(doc: dict) -> Certificate:
     """Rebuild a :class:`Certificate` from a loaded document for re-verification.
 
-    Only the recorded data crosses; the ``verified`` flag is dropped so the
-    caller's recheck is the one that counts.
+    Only the recorded data crosses, the ``fs`` and ``fp`` arrays as the tuples
+    they list, in their recorded order; the ``verified`` flag is dropped so
+    the caller's recheck is the one that counts.
     """
     kind = doc.get("kind")
     if kind != KIND_SEARCH:
@@ -272,8 +275,8 @@ def certificate_from_document(doc: dict) -> Certificate:
             raise InputError(f"block must be a list of integers, got {shown(raw)}")
         blocks.append(tuple(raw))
     ys = tuple(_decimal_array(doc, "ys", "block sum"))
-    fs = frozenset(_decimal_array(doc, "fs", "finite sum"))
-    fp = frozenset(_decimal_array(doc, "fp", "finite product"))
+    fs = tuple(_decimal_array(doc, "fs", "finite sum"))
+    fp = tuple(_decimal_array(doc, "fp", "finite product"))
     spec_text = _field(doc, "spec")
     if not isinstance(spec_text, str):
         raise InputError(f"spec field must be a string, got {shown(spec_text)}")

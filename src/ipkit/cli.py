@@ -26,7 +26,7 @@ from .certificates import (
     write_document,
 )
 from .errors import DomainBoundError, InputError, RefusalError, StructuralError, shown
-from .fsfp import ascending_products, ascending_sums
+from .fsfp import ascending_products, ascending_sums, distinct_ascending
 from .partition import hindman_finite, ip_star_refute, parse_coloring
 from .search import (
     DEFAULT_MAX_BLOCK,
@@ -121,7 +121,14 @@ def _built(n: int, limit: int | None) -> int:
 
 
 def _print_values(label: str, ordered: list | tuple) -> None:
-    print(f"{label} ({len(ordered)} values): {' '.join(map(str, ordered))}")
+    # rendered a slice at a time, the last, largest value first: one past the
+    # int->str digit limit raises before anything is printed
+    last = str(ordered[-1]) if ordered else ""
+    sys.stdout.write(f"{label} ({len(ordered)} values): ")
+    body = len(ordered) - 1
+    for start in range(0, body, 4096):
+        sys.stdout.write(" ".join(map(str, ordered[start : min(start + 4096, body)])) + " ")
+    print(last)
 
 
 def _cmd_fold(args) -> int:
@@ -181,10 +188,10 @@ def _cmd_verify(args) -> int:
     budget, nodes = budget_from_document(doc)
     failure = verification_failure(cert) or budget_failure(cert, budget, nodes)
     if failure is None:
-        union_size = len(cert.fs) + len(cert.fp) - len(cert.fs & cert.fp)
+        union = distinct_ascending((*cert.fs, *cert.fp))
         print(
             f"certificate verifies: {len(cert.ys)} blocks, "
-            f"{union_size} FS u FP values inside {cert.spec_text}"
+            f"{len(union)} FS u FP values inside {cert.spec_text}"
         )
         return EXIT_FOUND
     print(f"certificate does not verify: {failure}")

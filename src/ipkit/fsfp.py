@@ -14,12 +14,11 @@ such as (1, 2, 4, ..., 2^(m-1)).
 
 Both sets come from one fold that keeps its values as an ascending list: each
 term's sums (or products) with the values so far form a second ascending run,
-so one ``list.sort`` merges the held values, the term and that run in linear
-time, and one C-level pass drops repeats.  When the term and its new values all
-lie above the held ones, the runs are simply concatenated.  The fold's order
-is kept: :func:`ascending_sums`/:func:`ascending_products` return it as a
-tuple, and :func:`finite_sums`/:func:`finite_products` return frozensets that
-iterate in it, so sorting one is a single pass.  :class:`FsFpState` folds once.
+which :func:`distinct_ascending` merges in linear time, or which is simply
+concatenated when it and the term lie above the held values.
+:func:`ascending_sums`/:func:`ascending_products` return the fold as the
+ascending, repeat-free tuple a certificate holds; :func:`finite_sums`/
+:func:`finite_products` return it as a frozenset.  :class:`FsFpState` folds once.
 """
 
 from __future__ import annotations
@@ -90,17 +89,21 @@ def _new_to_cap(values: list, y: int, grow) -> list | None:
 
 def _merged(values: list, y: int, grown: list) -> list:
     """The ascending union of the ascending, repeat-free ``values``, ``[y]``
-    and ``grown``: concatenated when they follow one another, else sorted (a
-    linear merge of the runs) and stripped of repeats.  ``values`` is
-    extended in place."""
+    and ``grown``: concatenated when they follow one another, else merged by
+    :func:`distinct_ascending`.  ``values`` is extended in place."""
     follows = (not values or values[-1] < y) and (not grown or y < grown[0])
     values.append(y)
     values += grown
-    if follows:
-        return values
-    values.sort()
-    unique = list(compress(values, map(ne, values, islice(values, 1, None))))
-    unique.append(values[-1])
+    return values if follows else distinct_ascending(values)
+
+
+def distinct_ascending(values) -> list:
+    """The distinct ``values`` in ascending order: one sort, linear on a few
+    ascending runs, then one C-level pass that drops repeats.  ``TypeError``
+    if they do not order."""
+    ordered = sorted(values)
+    unique = list(compress(ordered, map(ne, ordered, islice(ordered, 1, None))))
+    unique += ordered[-1:]
     return unique
 
 
@@ -114,32 +117,14 @@ def ascending_products(ys) -> tuple[int, ...]:
     return _fold(ys, "FP", lambda values, y: [s * y for s in values])
 
 
-class _Ascending(frozenset):
-    """A fold's value set, iterated in ascending order, so ``sorted()`` of it
-    is one linear pass.  Set operators return plain frozensets."""
-
-    __slots__ = ("_order",)
-
-    def __new__(cls, ascending: tuple[int, ...]):
-        self = super().__new__(cls, ascending)
-        self._order = tuple(ascending)
-        return self
-
-    def __iter__(self):
-        return iter(self._order)
-
-    def __reduce__(self):
-        return type(self), (self._order,)
-
-
 def finite_sums(ys) -> frozenset[int]:
-    """All non-empty subset sums of ``ys``, as a value set iterated in ascending order."""
-    return _Ascending(ascending_sums(ys))
+    """All non-empty subset sums of ``ys``, as a value set."""
+    return frozenset(ascending_sums(ys))
 
 
 def finite_products(ys) -> frozenset[int]:
-    """All non-empty subset products of ``ys``, as a value set iterated in ascending order."""
-    return _Ascending(ascending_products(ys))
+    """All non-empty subset products of ``ys``, as a value set."""
+    return frozenset(ascending_products(ys))
 
 
 def normalize_block(block) -> tuple[int, ...]:

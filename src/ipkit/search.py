@@ -72,14 +72,12 @@ depends on that order, which the key leaves out.
 
 :func:`brute_force_subsystem` re-derives the answer with no pruning and no
 incremental state, enumerating every subset of its terms for FS and FP.
-:func:`verify_certificate` rechecks a found certificate from scratch, with FS
-and FP rebuilt as ascending tuples by the fold of :mod:`fsfp` over the sorted
-terms, so its cost follows |FS| + |FP| rather than 2^depth.  Each tuple is
-compared with the recorded set by size and containment, so no second set is
-built, and its values are tested by the compiled target of the re-parsed
-spec.  The search folds FS and FP once, over its sorted block sums, for each
-certificate it returns; the certificate's sets iterate in ascending order, so
-sorting them for its document is one linear pass.  It rechecks only what a
+:func:`verify_certificate` rechecks a found certificate from scratch: FS and
+FP are refolded by :mod:`fsfp` over the sorted terms, so its cost follows
+|FS| + |FP| rather than 2^depth, and each refold must equal the value set
+the certificate records, sorted and stripped of repeats, and lie in the
+re-parsed spec.  The search folds FS and FP once, over its sorted block sums,
+into the ascending tuples its certificate holds, and rechecks only what a
 search bug could break: the block order, every value of FS u FP against the
 re-parsed spec, and the budget.
 """
@@ -93,14 +91,13 @@ from math import comb, prod
 
 from .errors import DomainBoundError, InputError, RefusalError, StructuralError, shown
 from .fsfp import (
+    FOLD_CAP,
     FsFpState,
-    _Ascending,
     _check_terms,
     ascending_products,
     ascending_sums,
     check_block_order,
-    finite_products,
-    finite_sums,
+    distinct_ascending,
 )
 from .setspec import (
     SetSpec,
@@ -126,9 +123,9 @@ LISTING_ALLOWANCE = 1024
 # its two sets: past it the memo stores nothing more and evicts nothing
 MEMO_CAP = 1 << 16
 
-# verification folds FS and FP term by term, so its cost follows |FS| + |FP|,
-# which is at most 2^depth each; the cap keeps hostile documents cheap
-VERIFY_DEPTH_CAP = 22
+# verification folds FS and FP, at most 2^depth - 1 values each: 22, the
+# deepest certificate whose folds fit under FOLD_CAP, keeps hostile documents cheap
+VERIFY_DEPTH_CAP = FOLD_CAP.bit_length()
 
 
 @dataclass(frozen=True)
@@ -157,13 +154,17 @@ class OutcomeKind(Enum):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Self-contained record of a successful search, re-checkable by third parties."""
+    """Self-contained record of a successful search, re-checkable by third parties.
+
+    ``fs`` and ``fp`` are the fold's ascending, repeat-free tuples of FS and FP;
+    read from a document, they hold its arrays as recorded.
+    """
 
     x: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
     ys: tuple[int, ...]
-    fs: frozenset[int]
-    fp: frozenset[int]
+    fs: tuple[int, ...]
+    fp: tuple[int, ...]
     spec_text: str
     verified: bool = False
 
@@ -453,7 +454,7 @@ def search_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOutcome:
         # FS and FP do not depend on the terms' order, and smaller terms
         # first hold fewer values along the way
         ascending = sorted(ys)
-        fs, fp = finite_sums(ascending), finite_products(ascending)
+        fs, fp = ascending_sums(ascending), ascending_products(ascending)
         cert = Certificate(terms[: blocks[-1][-1]], blocks, ys, fs, fp, spec_text)
         # x, ys, FS and FP hold by construction: recheck what a search bug can break
         check_block_order(blocks)
@@ -504,8 +505,8 @@ def brute_force_subsystem(x, target: SetSpec, budget: SearchBudget) -> SearchOut
                 x=terms[: system[-1][-1]],
                 blocks=system,
                 ys=ys,
-                fs=frozenset(fs),
-                fp=frozenset(fp),
+                fs=tuple(sorted(fs)),
+                fp=tuple(sorted(fp)),
                 spec_text=spec_text,
                 verified=True,
             )
@@ -546,12 +547,12 @@ def verification_failure(cert: Certificate) -> str | None:
     return membership_failure(target, fs, fp)
 
 
-def _differs(values: tuple, recorded):
-    """``frozenset(values) != recorded`` for the repeat-free ``values`` of a
-    fold: a set is compared by size and containment, so no other is built."""
-    if type(recorded) in (frozenset, set, _Ascending):
-        return len(values) != len(recorded) or not recorded.issuperset(values)
-    return frozenset(values) != recorded
+def _differs(values: tuple, recorded) -> bool:
+    """Whether the value set ``recorded`` lists is not the fold's ``values``."""
+    try:
+        return tuple(distinct_ascending(recorded)) != values
+    except TypeError:  # None, a non-iterable, or values that do not order
+        return True
 
 
 def membership_failure(target: SetSpec, fs, fp) -> str | None:

@@ -86,7 +86,7 @@ def test_criterion_2_punctured_target(tmp_path):
     ok = found.returncode == 0 and verified.returncode == 0
     cert = certificate_from_document(load_document(path))
     target = parse_spec(cert.spec_text)
-    members = sorted(cert.fs | cert.fp)
+    members = sorted({*cert.fs, *cert.fp})
     ok = ok and all(target.contains(v) for v in members)
     ok = ok and len(cert.ys) == 4 and verify_certificate(cert)
     report(

@@ -81,16 +81,16 @@ def test_decimal_strings_sorted_numerically():
 
 
 def test_a_replaced_fold_is_still_written_sorted():
-    """A found certificate's sets iterate in ascending order; one replaced by a
-    set operator is a plain frozenset, and its document arrays are sorted too."""
+    """A found certificate's ``fs`` and ``fp`` are ascending tuples; ones
+    replaced out of order are written as sorted document arrays too."""
     budget = SearchBudget(depth=5, window=64)
     outcome = search_subsystem(tuple(range(1, 65)), Congruence(6, 0), budget)
     cert = outcome.certificate
-    replaced = replace(cert, fs=cert.fs | {13, 10**30}, fp=cert.fp | {7})
-    assert type(replaced.fs) is type(replaced.fp) is frozenset
+    assert cert.fs == tuple(sorted(set(cert.fs))) and cert.fp == tuple(sorted(set(cert.fp)))
+    replaced = replace(cert, fs=(10**30, *cert.fs, 13), fp=(*cert.fp, 7))
     doc = search_document(replace(outcome, certificate=replaced), budget, "mod(6,0)", ())
-    assert doc["fs"] == [str(v) for v in sorted(cert.fs | {13, 10**30})]
-    assert doc["fp"] == [str(v) for v in sorted(cert.fp | {7})]
+    assert doc["fs"] == [str(v) for v in sorted({*cert.fs, 13, 10**30})]
+    assert doc["fp"] == [str(v) for v in sorted({*cert.fp, 7})]
 
 
 def test_not_found_document():
@@ -179,7 +179,10 @@ def test_certificate_from_document_errors():
             with pytest.raises(InputError) as raised:
                 certificate_from_document({**doc, field: values})
             assert str(raised.value) == f"{what} must be a canonical decimal string, got {shown(bad)}"
-    assert certificate_from_document({**doc, "fp": []}).fp == frozenset()
+    assert certificate_from_document({**doc, "fp": []}).fp == ()
+    # the arrays cross as tuples, in their recorded order, repeats kept
+    recorded = doc["fs"][::-1] + doc["fs"][:1]
+    assert certificate_from_document({**doc, "fs": recorded}).fs == tuple(map(int, recorded))
 
 
 def test_budget_from_document():

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fp_oracle, fs_oracle
-from ipkit import certificates
+from ipkit import certificates, cli
 from ipkit.certificates import comparable_form, load_document, search_document
 from ipkit.cli import main, parse_sequence_source
 from ipkit.errors import InputError
+from ipkit.fsfp import ascending_products, ascending_sums
 from ipkit.search import DEFAULT_MAX_BLOCK, SearchBudget, search_subsystem
 from ipkit.setspec import parse_spec, render_spec
 
@@ -96,6 +97,38 @@ def test_fs_fp_output(capsys):
     code, out, _ = run(capsys, "fp", "--seq", "nat:3")
     assert code == 0
     assert "FP (4 values): 1 2 3 6" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("fs", "--seq", "nat:100"), ("fp", "--seq", "nat:18"),
+     ("fs", "--seq", "pow:2:13"), ("fp", "--seq", "pow:3:91")],
+)
+def test_fs_fp_listings_have_the_bytes_of_the_one_shot_render(capsys, argv):
+    """Listings of several 4,096-value slices print the line rendered whole."""
+    code, out, err = run(capsys, *argv)
+    fold = ascending_sums if argv[0] == "fs" else ascending_products
+    values = fold(parse_sequence_source(argv[2]))
+    assert len(values) > 4097
+    line = f"{argv[0].upper()} ({len(values)} values): {' '.join(map(str, values))}\n"
+    assert (code, out, err) == (0, line, "")
+
+
+def test_listing_slices_join_to_the_one_shot_render(capsys):
+    for n in (0, 1, 2, 4095, 4096, 4097, 4098, 8193, 9000):
+        values = range(10**12, 10**12 + n)
+        cli._print_values("FS u FP", values)
+        assert capsys.readouterr().out == f"FS u FP ({n} values): {' '.join(map(str, values))}\n", n
+
+
+def test_listing_past_the_digit_limit_prints_nothing(capsys):
+    """The largest value is rendered first, so the digit limit's ValueError
+    comes before any byte of the listing."""
+    with pytest.raises(ValueError):
+        cli._print_values("FS", list(range(1, 9000)) + [10**4300])
+    with pytest.raises(ValueError):
+        main(["fp", "--seq", "pow:10:100"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_search_found_exit_zero(capsys, tmp_path):
@@ -279,13 +312,14 @@ def test_search_listing_and_document_match_the_old_renderer(
     target = parse_spec(spec)
     outcome = search_subsystem(x, target, budget)
     fs, fp = outcome.certificate.fs, outcome.certificate.fp
-    only = fs - fp
+    assert fs == tuple(sorted(set(fs))) and fp == tuple(sorted(set(fp)))
+    only = set(fs) - set(fp)
     if fs_only == "after":
         assert only and min(only) > max(fp)
     else:
         assert any(min(fp) < v < max(fp) for v in only)
     listing = [line for line in out.splitlines() if line.startswith("FS u FP")]
-    union = sorted(fs | fp)
+    union = sorted({*fs, *fp})
     assert listing == [f"FS u FP ({len(union)} values): " + " ".join(map(str, union))]
     expected = search_document(outcome, budget, render_spec(target), x[: budget.window])
     assert comparable_form(doc) == comparable_form(expected)

@@ -18,6 +18,7 @@ from ipkit.fsfp import (
     ascending_products,
     ascending_sums,
     check_block_order,
+    distinct_ascending,
     extend_state,
     finite_products,
     finite_sums,
@@ -61,27 +62,37 @@ def test_arbitrary_precision_products():
 
 @given(terms_lists)
 def test_sums_match_subset_oracle(ys):
-    assert finite_sums(ys) == fs_oracle(ys)
-    assert list(finite_sums(ys)) == list(ascending_sums(ys)) == sorted(fs_oracle(ys))
+    assert type(finite_sums(ys)) is frozenset and finite_sums(ys) == fs_oracle(ys)
+    assert ascending_sums(ys) == tuple(sorted(fs_oracle(ys)))
 
 
 @given(terms_lists)
 def test_products_match_subset_oracle(ys):
-    assert finite_products(ys) == fp_oracle(ys)
-    assert list(finite_products(ys)) == list(ascending_products(ys)) == sorted(fp_oracle(ys))
+    assert type(finite_products(ys)) is frozenset and finite_products(ys) == fp_oracle(ys)
+    assert ascending_products(ys) == tuple(sorted(fp_oracle(ys)))
+
+
+@given(st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=40), st.randoms())
+def test_distinct_ascending_is_the_sorted_value_set(values, rng):
+    expected = sorted(set(values))
+    assert distinct_ascending(values) == expected
+    # the same values, shuffled, repeated or as ascending runs, give the same list
+    shuffled = values * 2
+    rng.shuffle(shuffled)
+    for form in (shuffled, tuple(values), set(values), dict.fromkeys(values).keys(), expected + expected):
+        assert distinct_ascending(form) == expected
+    with pytest.raises(TypeError):
+        distinct_ascending([1, "1"])
 
 
 def test_folds_keep_their_values_and_order_through_pickling_and_copying():
-    for fold in (finite_sums((9, 2, 30, 2, 5)), finite_products((9, 2, 30, 2, 5, 1)), finite_sums((4,))):
-        assert list(fold) == sorted(fold)
+    for fold in (ascending_sums((9, 2, 30, 2, 5)), ascending_products((9, 2, 30, 2, 5, 1)), ascending_sums((4,))):
+        assert type(fold) is tuple and fold == tuple(sorted(set(fold)))
         for twin in (pickle.loads(pickle.dumps(fold)), copy.copy(fold), copy.deepcopy(fold)):
-            assert isinstance(twin, frozenset) and twin == fold
-            assert list(twin) == list(fold)
-        # set operators give plain frozensets, ordered or not
-        assert type(fold | {7}) is type(fold - {4}) is frozenset
+            assert twin == fold
     state = state_of((9, 2, 30))
     twin = pickle.loads(pickle.dumps(state))
-    assert twin == state and list(twin.fs) == list(state.fs) and list(twin.fp) == list(state.fp)
+    assert twin == state and twin.fs == state.fs and twin.fp == state.fp
 
 
 @given(terms_lists, st.integers(min_value=1, max_value=50))
@@ -209,14 +220,13 @@ def test_capped_fold_matches_oracle_or_refuses_at_the_first_term_past_the_cap(mo
     for _ in range(300):
         ys = [rng.randint(1, rng.choice((3, 30, 3000))) for _ in range(rng.randint(1, 10))]
         monkeypatch.setattr(fsfp, "_FOLD_CHUNK", rng.choice((1, 2, 7, 4096)))
-        for fold, oracle, name in ((finite_sums, fs_oracle, "FS"), (finite_products, fp_oracle, "FP")):
+        for fold, oracle, name in ((ascending_sums, fs_oracle, "FS"), (ascending_products, fp_oracle, "FP")):
             size = len(oracle(ys))
             cap = rng.randint(max(1, size // 2), 2 * size)
             monkeypatch.setattr(fsfp, "FOLD_CAP", cap)
             over = next((n for n in range(1, len(ys) + 1) if len(oracle(ys[:n])) > cap), None)
             if over is None:
-                assert fold(ys) == oracle(ys)
-                assert list(fold(ys)) == sorted(oracle(ys))
+                assert fold(ys) == tuple(sorted(oracle(ys)))
                 # a term that began past half the cap grew chunk by chunk
                 grown += 2 * len(oracle(ys[:-1])) + 1 > cap
             else:

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from conftest import fp_oracle, fs_oracle, random_spec
 from ipkit import fsfp, search
 from ipkit.errors import DomainBoundError, InputError, RefusalError, StructuralError
-from ipkit.fsfp import EMPTY_STATE, finite_products, finite_sums, state_of
+from ipkit.fsfp import (
+    EMPTY_STATE,
+    ascending_products,
+    ascending_sums,
+    finite_products,
+    finite_sums,
+    state_of,
+)
 from ipkit.search import (
     Certificate,
     OutcomeKind,
@@ -115,7 +122,7 @@ def test_search_worked_example():
     cert = out.certificate
     assert cert.blocks == ((1, 2, 3), (6,))
     assert cert.ys == (6, 6)
-    assert cert.fs | cert.fp == frozenset({6, 12, 36})
+    assert (cert.fs, cert.fp) == ((6, 12), (6, 36))
     assert cert.verified
     assert verify_certificate(cert)
 
@@ -767,39 +774,71 @@ def test_verify_tampered_y():
 
 def test_verify_tampered_fs():
     good = _found_cert()
-    cert = replace(good, fs=good.fs | {13})
+    cert = replace(good, fs=good.fs + (13,))
     assert not verify_certificate(cert)
     assert "finite-sum" in verification_failure(cert)
 
 
-def test_verify_compares_recorded_sets_as_set_inequality_does():
-    """The refold is compared with a recorded set by size and containment; any
-    recorded value gets the verdict ``frozenset(refold) != recorded`` gives."""
+def _value_set(recorded):
+    try:
+        return frozenset(recorded)
+    except TypeError:
+        return None
+
+
+def test_verify_reads_recorded_values_as_a_value_set():
+    """Whatever a certificate records for FS or FP is read as the value set it
+    lists, in any order and with any repeats: it verifies exactly when that
+    set equals the refold, and anything else gets the mismatch verdict."""
 
     class Loose(frozenset):
         def __ne__(self, other):
             return False
 
     good = _found_cert()
-    assert (good.ys, good.fs, good.fp) == ((6, 6), {6, 12}, {6, 36})
-    holding = (set(good.fs), frozenset(good.fs), good.fs, {6.0, 12}, dict.fromkeys(good.fs).keys(), Loose({1}))
-    failing = ({6, 12, 18}, {12}, set(), (6, 12), [6, 12], "6 12", None, 18, {6: 1}, {"6", "12"})
+    assert (good.ys, good.fs, good.fp) == ((6, 6), (6, 12), (6, 36))
+    holding = (
+        set(good.fs), frozenset(good.fs), good.fs, (6, 12), [12, 6], [6, 12, 6, 12, 12], {6.0, 12},
+        dict.fromkeys(good.fs).keys(), {12: "a", 6: "b"}.keys(),
+    )
+    failing = (
+        {6, 12, 18}, {12}, set(), (), (6, 12, 18), [12], "6 12", "", None, 18, {6: 1}, {"6", "12"},
+        ["6", "12"], [6, "12"], [6, 12, None], Loose({1}),
+    )
     for recorded in holding + failing:
         failure = verification_failure(replace(good, fs=recorded))
         assert (failure is None) is (recorded in holding), recorded
-        assert (failure is None) is not (frozenset(fs_oracle(good.ys)) != recorded), recorded
+        assert (failure is None) is (_value_set(recorded) == frozenset(fs_oracle(good.ys))), recorded
         if failure is not None:
             assert failure == "recorded finite-sum set does not match recomputation"
-    failure = verification_failure(replace(good, fp=[6, 36]))
-    assert failure == "recorded finite-product set does not match recomputation"
+    for recorded in ([36, 6, 36], None, "6 36", [6, "36"]):
+        failure = verification_failure(replace(good, fp=recorded))
+        assert (failure is None) is (recorded == [36, 6, 36]), recorded
+        if failure is not None:
+            assert failure == "recorded finite-product set does not match recomputation"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=40), max_size=12), st.randoms())
+def test_verify_accepts_any_listing_of_the_refold_and_nothing_else(extra, rng):
+    """A recorded list, tuple, set or dict view, shuffled and with repeats,
+    verifies exactly when its value set equals the refold."""
+    good = _found_cert()
+    for field in ("fs", "fp"):
+        values = list(getattr(good, field)) + extra
+        rng.shuffle(values)
+        matches = set(values) == set(getattr(good, field))
+        for recorded in (values, tuple(values), set(values), dict.fromkeys(values).keys()):
+            failure = verification_failure(replace(good, **{field: recorded}))
+            assert (failure is None) is matches, (field, recorded)
 
 
 @pytest.mark.parametrize(
     "field, change, message",
     [
         ("ys", lambda c: c.ys[:-1] + (c.ys[-1] + 6,), "recomputed block sums"),
-        ("fs", lambda c: c.fs - {max(c.fs)}, "recorded finite-sum set does not match recomputation"),
-        ("fp", lambda c: c.fp | {7}, "recorded finite-product set does not match recomputation"),
+        ("fs", lambda c: c.fs[:-1], "recorded finite-sum set does not match recomputation"),
+        ("fp", lambda c: (7, *c.fp), "recorded finite-product set does not match recomputation"),
         ("spec_text", lambda c: "mod(12,0)", "element 6 of FS u FP is not in the target set"),
     ],
 )
@@ -822,7 +861,7 @@ def test_verify_membership_failure_names_element():
 def test_verify_checks_terms_and_bitmap_bounds():
     good = _found_cert()
     # blocks ((1, 2, 3), (6,)) still sum to the recorded ys (0, 6)
-    bad_terms = replace(good, x=(1, -1, 0) + good.x[3:], ys=(0, 6), fs=frozenset({0, 6}), fp=frozenset({0, 6}))
+    bad_terms = replace(good, x=(1, -1, 0) + good.x[3:], ys=(0, 6), fs=(0, 6), fp=(0, 6))
     with pytest.raises(InputError, match="recorded sequence terms must be >= 1, got -1"):
         verification_failure(bad_terms)
     # FS u FP = {6, 12, 36}: the first value past the bound is the one named
@@ -904,7 +943,16 @@ def test_self_check_fails_a_block_past_max_block(monkeypatch):
 
 
 def test_found_search_folds_sums_and_products_once(monkeypatch):
+    """The search folds each of FS and FP once, into the ascending tuples its
+    certificate holds, and builds no value set of either."""
     calls = collections.Counter()
+
+    def unused(ys):
+        raise AssertionError("a found search built a value set of FS or FP")
+
+    for name in ("finite_sums", "finite_products"):
+        monkeypatch.setattr(fsfp, name, unused)
+        monkeypatch.setattr(search, name, unused, raising=False)
 
     def counted(name):
         fold = getattr(search, name)
@@ -915,13 +963,14 @@ def test_found_search_folds_sums_and_products_once(monkeypatch):
 
         monkeypatch.setattr(search, name, counted_fold)
 
-    counted("finite_sums")
-    counted("finite_products")
+    counted("ascending_sums")
+    counted("ascending_products")
     out = search_subsystem(
         tuple(range(1, 321)), parse_spec("and(mod(6,0),geq(3))"), SearchBudget(depth=12, window=300)
     )
     assert out.kind is OutcomeKind.FOUND and out.certificate.verified
-    assert calls == {"finite_sums": 1, "finite_products": 1}
+    assert calls == {"ascending_sums": 1, "ascending_products": 1}
+    assert type(out.certificate.fs) is type(out.certificate.fp) is tuple
 
 
 def test_found_search_folds_its_block_sums_in_ascending_order(monkeypatch):
@@ -958,16 +1007,16 @@ def test_found_search_folds_its_block_sums_in_ascending_order(monkeypatch):
 
         monkeypatch.setattr(search, name, counted_fold)
 
-    counting("finite_sums")
-    counting("finite_products")
+    counting("ascending_sums")
+    counting("ascending_products")
     out = search_subsystem(
         tuple(range(1, 321)), parse_spec("and(mod(6,0),geq(3))"), SearchBudget(depth=18, window=300)
     )
     cert = out.certificate
     assert out.kind is OutcomeKind.FOUND and cert.ys != tuple(sorted(cert.ys))
     assert (len(cert.fs), len(cert.fp)) == (162, 20639)
-    assert made == {"finite_sums": 759, "finite_products": 26069}
-    for fold, values, count in ((finite_sums, cert.fs, 932), (finite_products, cert.fp, 35320)):
+    assert made == {"ascending_sums": 759, "ascending_products": 26069}
+    for fold, values, count in ((ascending_sums, cert.fs, 932), (ascending_products, cert.fp, 35320)):
         Counted.made = 0
         assert fold([Counted(y) for y in cert.ys]) == values
         assert Counted.made == count
@@ -979,7 +1028,7 @@ def test_found_certificate_sets_iterate_in_ascending_order():
             tuple(range(1, 321)), parse_spec("and(mod(6,0),geq(3))"), SearchBudget(depth=depth, window=300)
         ).certificate
         for values in (cert.fs, cert.fp):
-            assert isinstance(values, frozenset) and list(values) == sorted(values)
+            assert type(values) is tuple and values == tuple(sorted(set(values)))
 
 
 def test_fold_cap_is_the_most_a_verifiable_certificate_holds():
@@ -992,8 +1041,8 @@ def test_verify_depth_cap():
         x=tuple(1 for _ in range(23)),
         blocks=tuple((i,) for i in range(1, 24)),
         ys=ys,
-        fs=frozenset(range(1, 24)),
-        fp=frozenset({1}),
+        fs=tuple(range(1, 24)),
+        fp=(1,),
         spec_text="all",
     )
     with pytest.raises(RefusalError, match="verification cap"):
