@@ -5,7 +5,9 @@ One document shape for every artifact, discriminated by a ``kind`` field:
 * ``subsystem-search``: a search outcome; when found, the full certificate
   (window, blocks, block sums, FS and FP listings, target spec, budget).
   FS and FP are written ascending, from the certificate's tuples, and read
-  back as tuples in their recorded order, which ``verify`` reads as value sets.
+  back as tuples in their recorded order.  ``verify`` reads them as value
+  sets: a tuple equal to the refold, as every written document gives, is
+  compared as it is, and only another listing is sorted.
 * ``fs-witness`` / ``ip-refutation``: witness terms and their finite sums.
 * ``hindman``: a monochromatic witness inside a finite coloring, or absence.
 * ``semigroup-report``: structural report on a finite Cayley table.
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect_left
 from contextlib import contextmanager
 from datetime import datetime, timezone
 
@@ -63,22 +64,6 @@ def _decimals(values) -> list[str]:
 
 def _sorted_decimals(values) -> list[str]:
     return _decimals(sorted(values))
-
-
-def merged_decimals(few: list[str], many: list[str]) -> list[str]:
-    """The union of two ascending lists of canonical decimals, in ascending order.
-
-    Such decimals order by length, then as text, so each of ``few`` is placed
-    in ``many`` by bisection; nothing is parsed, rendered or sorted again.
-    """
-    merged, start = [], 0
-    for d in few:
-        i = bisect_left(many, (len(d), d), start, key=lambda m: (len(m), m))
-        merged += many[start:i]
-        if i == len(many) or many[i] != d:
-            merged.append(d)
-        start = i
-    return merged + many[start:]
 
 
 def make_document(kind: str, payload: dict) -> dict:

@@ -17,25 +17,25 @@ from .certificates import (
     KIND_SEMIGROUP,
     budget_from_document,
     certificate_from_document,
+    digit_limit_lifted,
     hindman_document,
     load_document,
     make_document,
-    merged_decimals,
     search_document,
     witness_document,
     write_document,
 )
 from .errors import DomainBoundError, InputError, RefusalError, StructuralError, shown
-from .fsfp import ascending_products, ascending_sums, distinct_ascending
+from .fsfp import ascending_products, ascending_sums, ascending_union
 from .partition import hindman_finite, ip_star_refute, parse_coloring
 from .search import (
     DEFAULT_MAX_BLOCK,
     DEFAULT_NODE_LIMIT,
     OutcomeKind,
     SearchBudget,
+    _refold_check,
     budget_failure,
     search_subsystem,
-    verification_failure,
 )
 from .semigroup import (
     _product_formula_sweep,
@@ -120,14 +120,16 @@ def _built(n: int, limit: int | None) -> int:
     return n if limit is None else min(n, limit)
 
 
-def _print_values(label: str, ordered: list | tuple) -> None:
+def _print_values(label: str, ordered: list | tuple, rendered: bool = False) -> None:
     # rendered a slice at a time, the last, largest value first: one past the
-    # int->str digit limit raises before anything is printed
+    # int->str digit limit raises before anything is printed.  With
+    # ``rendered``, ``ordered`` holds decimals already, joined as they are
     last = str(ordered[-1]) if ordered else ""
     sys.stdout.write(f"{label} ({len(ordered)} values): ")
     body = len(ordered) - 1
     for start in range(0, body, 4096):
-        sys.stdout.write(" ".join(map(str, ordered[start : min(start + 4096, body)])) + " ")
+        chunk = ordered[start : min(start + 4096, body)]
+        sys.stdout.write(" ".join(chunk if rendered else map(str, chunk)) + " ")
     print(last)
 
 
@@ -166,7 +168,11 @@ def _cmd_search(args) -> int:
     if cert is not None:
         for i, (block, y) in enumerate(zip(cert.blocks, doc["ys"]), start=1):
             print(f"H{i} = {{{','.join(map(str, block))}}}  y{i} = {y}")
-        _print_values("FS u FP", merged_decimals(doc["fs"], doc["fp"]))
+        # FP above all of FS is listed by its document's decimals, the rest rendered here
+        head, k = ascending_union(cert.fs, cert.fp)
+        with digit_limit_lifted():
+            listing = [*map(str, head), *doc["fp"][k:]]
+        _print_values("FS u FP", listing, rendered=True)
         print("verified: true")
     elif outcome.kind is OutcomeKind.EXHAUSTED:
         print("no block system within the budget satisfies the spec")
@@ -186,12 +192,14 @@ def _cmd_verify(args) -> int:
     doc = load_document(args.cert)
     cert = certificate_from_document(doc)
     budget, nodes = budget_from_document(doc)
-    failure = verification_failure(cert) or budget_failure(cert, budget, nodes)
+    failure, fs, fp = _refold_check(cert)
+    failure = failure or budget_failure(cert, budget, nodes)
     if failure is None:
-        union = distinct_ascending((*cert.fs, *cert.fp))
+        # counted from the refolds, which the recorded arrays list as value sets
+        head, k = ascending_union(fs, fp)
         print(
             f"certificate verifies: {len(cert.ys)} blocks, "
-            f"{len(union)} FS u FP values inside {cert.spec_text}"
+            f"{len(head) + len(fp) - k} FS u FP values inside {cert.spec_text}"
         )
         return EXIT_FOUND
     print(f"certificate does not verify: {failure}")

@@ -19,6 +19,8 @@ concatenated when it and the term lie above the held values.
 :func:`ascending_sums`/:func:`ascending_products` return the fold as the
 ascending, repeat-free tuple a certificate holds; :func:`finite_sums`/
 :func:`finite_products` return it as a frozenset.  :class:`FsFpState` folds once.
+:func:`ascending_union` lists FS u FP from the two tuples, sorting only the
+values of FP that do not lie above all of FS.
 """
 
 from __future__ import annotations
@@ -105,6 +107,15 @@ def distinct_ascending(values) -> list:
     unique = list(compress(ordered, map(ne, ordered, islice(ordered, 1, None))))
     unique += ordered[-1:]
     return unique
+
+
+def ascending_union(fs, fp) -> tuple[list, int]:
+    """FS u FP of the ascending, repeat-free ``fs`` and ``fp`` as (head, k):
+    ``fp[k:]`` lies above all of ``fs``, and ``head`` is the distinct ascending
+    union of ``fs`` and ``fp[:k]``, so ``head + fp[k:]`` lists FS u FP.  Only
+    the head is sorted; the rest of ``fp`` is taken as it is."""
+    k = bisect_right(fp, fs[-1]) if fs else 0
+    return distinct_ascending((*fs, *fp[:k])), k
 
 
 def ascending_sums(ys) -> tuple[int, ...]:

@@ -20,9 +20,10 @@ for FS witnesses, the first term's color class for Hindman.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
-from .errors import InputError, shown
+from .errors import InputError, RefusalError, shown
 from .fsfp import finite_sums
 from .setspec import Complement, SetSpec
 
@@ -82,7 +83,14 @@ def _first_witness(bound: int, depth: int, test_for) -> FsWitness | None:
     for first in range(1, bound + 1):
         admissible = test_for(first)
         if admissible(first):
-            found = extend((first,), {first: None}, admissible)
+            try:
+                found = extend((first,), {first: None}, admissible)
+            except RecursionError:
+                # one frame per term: refused, not a traceback
+                raise RefusalError(
+                    f"witness search refused: depth {depth} passes Python's recursion limit "
+                    f"({sys.getrecursionlimit()})"
+                ) from None
             if found is not None:
                 return FsWitness(found)
     return None

@@ -75,11 +75,13 @@ incremental state, enumerating every subset of its terms for FS and FP.
 :func:`verify_certificate` rechecks a found certificate from scratch: FS and
 FP are refolded by :mod:`fsfp` over the sorted terms, so its cost follows
 |FS| + |FP| rather than 2^depth, and each refold must equal the value set
-the certificate records, sorted and stripped of repeats, and lie in the
-re-parsed spec.  The search folds FS and FP once, over its sorted block sums,
-into the ascending tuples its certificate holds, and rechecks only what a
-search bug could break: the block order, every value of FS u FP against the
-re-parsed spec, and the budget.
+the certificate records and lie in the re-parsed spec.  A recorded tuple
+equal to the refold, as every document ``ipkit`` writes reads back, is taken
+as it is; any other listing is sorted and stripped of repeats first.  The
+search folds FS and FP once, over its sorted block sums, into the ascending
+tuples its certificate holds, and rechecks only what a search bug could
+break: the block order, every value of FS u FP against the re-parsed spec,
+and the budget.
 """
 
 from __future__ import annotations
@@ -521,6 +523,12 @@ def verification_failure(cert: Certificate) -> str | None:
     window) raise; value-level mismatches and membership failures are
     reported as strings so tampering is diagnosed, not crashed on.
     """
+    return _refold_check(cert)[0]
+
+
+def _refold_check(cert: Certificate) -> tuple[str | None, tuple[int, ...], tuple[int, ...]]:
+    """:func:`verification_failure` of ``cert``, with the refolded FS and FP
+    it checked, both () when the block sums fail before they are folded."""
     target = parse_spec(cert.spec_text)
     blocks = check_block_order(cert.blocks)
     if not blocks:
@@ -537,18 +545,25 @@ def verification_failure(cert: Certificate) -> str | None:
     _check_terms(cert.x, what="recorded sequence terms")
     ys = tuple(sum(cert.x[i - 1] for i in block) for block in blocks)
     if ys != tuple(cert.ys):
-        return f"recomputed block sums {ys} != recorded {tuple(cert.ys)}"
+        return f"recomputed block sums {ys} != recorded {tuple(cert.ys)}", (), ()
     ascending = sorted(ys)
     fs, fp = ascending_sums(ascending), ascending_products(ascending)
     if _differs(fs, cert.fs):
-        return "recorded finite-sum set does not match recomputation"
-    if _differs(fp, cert.fp):
-        return "recorded finite-product set does not match recomputation"
-    return membership_failure(target, fs, fp)
+        failure = "recorded finite-sum set does not match recomputation"
+    elif _differs(fp, cert.fp):
+        failure = "recorded finite-product set does not match recomputation"
+    else:
+        failure = membership_failure(target, fs, fp)
+    return failure, fs, fp
 
 
 def _differs(values: tuple, recorded) -> bool:
-    """Whether the value set ``recorded`` lists is not the fold's ``values``."""
+    """Whether the value set ``recorded`` lists is not the fold's ``values``.
+
+    A tuple equal to ``values`` lists them as they are; anything else is
+    sorted and stripped of repeats first."""
+    if type(recorded) is tuple and recorded == values:
+        return False
     try:
         return tuple(distinct_ascending(recorded)) != values
     except TypeError:  # None, a non-iterable, or values that do not order

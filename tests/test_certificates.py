@@ -28,7 +28,6 @@ from ipkit.certificates import (
     hindman_document,
     load_document,
     make_document,
-    merged_decimals,
     search_document,
     witness_document,
     write_document,
@@ -248,17 +247,6 @@ def test_hindman_document_shapes():
 def test_make_document_rejects_unknown_kind():
     with pytest.raises(InputError, match="unknown document kind"):
         make_document("mystery", {})
-
-
-values = st.sets(st.integers(1, 1000) | st.integers(1, 10**40), max_size=30)
-
-
-@given(values, values)
-def test_merged_decimals_is_the_sorted_union(few, many):
-    def rendered(v):
-        return [str(n) for n in sorted(v)]
-
-    assert merged_decimals(rendered(few), rendered(many)) == rendered(few | many)
 
 
 def test_digit_limit_lifted_only_inside():

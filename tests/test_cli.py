@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,16 @@ from hypothesis import strategies as st
 
 from conftest import fp_oracle, fs_oracle
 from ipkit import certificates, cli
-from ipkit.certificates import comparable_form, load_document, search_document
+from ipkit.certificates import (
+    certificate_from_document,
+    comparable_form,
+    load_document,
+    search_document,
+)
 from ipkit.cli import main, parse_sequence_source
 from ipkit.errors import InputError
 from ipkit.fsfp import ascending_products, ascending_sums
-from ipkit.search import DEFAULT_MAX_BLOCK, SearchBudget, search_subsystem
+from ipkit.search import DEFAULT_MAX_BLOCK, SearchBudget, search_subsystem, verification_failure
 from ipkit.setspec import parse_spec, render_spec
 
 
@@ -117,8 +123,11 @@ def test_fs_fp_listings_have_the_bytes_of_the_one_shot_render(capsys, argv):
 def test_listing_slices_join_to_the_one_shot_render(capsys):
     for n in (0, 1, 2, 4095, 4096, 4097, 4098, 8193, 9000):
         values = range(10**12, 10**12 + n)
+        line = f"FS u FP ({n} values): {' '.join(map(str, values))}\n"
         cli._print_values("FS u FP", values)
-        assert capsys.readouterr().out == f"FS u FP ({n} values): {' '.join(map(str, values))}\n", n
+        assert capsys.readouterr().out == line, n
+        cli._print_values("FS u FP", list(map(str, values)), rendered=True)
+        assert capsys.readouterr().out == line, n
 
 
 def test_listing_past_the_digit_limit_prints_nothing(capsys):
@@ -444,14 +453,15 @@ def four_block_document(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_verify_fuzzed_value_arrays_get_the_set_comparison_verdict(four_block_document, data):
-    """Permuted, duplicated, dropped, added and replaced fs/fp values get the
-    verdict and message of comparing the recorded values, as a set, with FS
-    and FP of the recorded terms."""
+    """Unchanged, permuted, duplicated, dropped, added and replaced fs/fp
+    values get the verdict and message of comparing the recorded values, as a
+    set, with FS and FP of the recorded terms; so do the same values handed
+    to verification_failure as a tuple and as a list."""
     path, doc = four_block_document
     name = data.draw(st.sampled_from(("fs", "fp")))
     values = list(doc[name])
     decimals = st.integers(1, 20000).map(str) | st.sampled_from(doc["fs"] + doc["fp"])
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(st.integers(0, 3))):
         kind = data.draw(st.sampled_from(("permute", "duplicate", "drop", "add", "replace")))
         if kind == "permute":
             values = data.draw(st.permutations(values))
@@ -477,6 +487,64 @@ def test_verify_fuzzed_value_arrays_get_the_set_comparison_verdict(four_block_do
     else:
         expected = 0, f"certificate verifies: 4 blocks, {len(fs | fp)} FS u FP values inside mod(6,0)\n"
     assert (code, out.getvalue(), err.getvalue()) == (*expected, "")
+    cert = certificate_from_document(mutated)
+    recorded = getattr(cert, name)
+    for form in (recorded, list(recorded)):
+        failure = verification_failure(replace(cert, **{name: form}))
+        assert (failure is None) is (code == 0), form
+
+
+@pytest.fixture(scope="module")
+def deep_searches(tmp_path_factory):
+    """The found search over nat:320 for and(mod(6,0),geq(3)), window 300, at a
+    given depth: its stdout, its document, and a path to write copies to."""
+    folder = tmp_path_factory.mktemp("deep")
+    runs = {}
+
+    def at(depth):
+        if depth not in runs:
+            path = folder / f"d{depth}.json"
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["search", "--seq", "nat:320", "--spec", "and(mod(6,0),geq(3))",
+                             "--depth", str(depth), "--window", "300", "--json", str(path)]) == 0
+            runs[depth] = out.getvalue(), json.loads(path.read_text()), folder / "copy.json"
+        return runs[depth]
+
+    return at
+
+
+ARRAY_FORMS = ("honest", "reversed", "shuffled", "duplicated")
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(1, 12), forms=st.tuples(st.sampled_from(ARRAY_FORMS), st.sampled_from(ARRAY_FORMS)),
+       rng=st.randoms(use_true_random=False))
+def test_search_lists_and_verify_counts_the_union_of_any_listing(deep_searches, depth, forms, rng):
+    """The search line lists sorted FS u FP, and verify counts |FS u FP| for
+    fs/fp arrays as written, reversed, shuffled, or with values repeated."""
+    out, doc, path = deep_searches(depth)
+    union = sorted({*map(int, doc["fs"]), *map(int, doc["fp"])})
+    listing = [line for line in out.splitlines() if line.startswith("FS u FP")]
+    assert listing == [f"FS u FP ({len(union)} values): {' '.join(map(str, union))}"]
+    copy = dict(doc)
+    for name, form in zip(("fs", "fp"), forms):
+        values = list(doc[name])
+        if form == "reversed":
+            values.reverse()
+        elif form == "shuffled":
+            rng.shuffle(values)
+        elif form == "duplicated":
+            values += rng.choices(values, k=rng.randint(1, len(values)))
+        copy[name] = values
+    path.write_text(json.dumps(copy))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--cert", str(path)])
+    count = len(set(copy["fs"]) | set(copy["fp"]))
+    assert count == len(union)
+    line = f"certificate verifies: {depth} blocks, {count} FS u FP values inside and(mod(6,0),geq(3))\n"
+    assert (code, out.getvalue(), err.getvalue()) == (0, line, "")
 
 
 def test_refute_found_and_absent(capsys, tmp_path):
@@ -512,6 +580,21 @@ def test_hindman_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "hindman", "--coloring", str(parity), "--depth", "2")
     assert code == 1
     assert "no monochromatic witness" in out
+
+
+def test_witness_searches_past_the_recursion_limit_exit_two(tmp_path):
+    """A refute or hindman depth the recursive search cannot reach under the
+    recursion limit is refused with one error line, not a traceback."""
+    coloring = tmp_path / "one-colour.txt"
+    # 1..300 has sums up to 45,150, all coloured alike: the search goes straight down
+    coloring.write_text("".join(f"{v} 0\n" for v in range(1, 45151)))
+    script = "import sys; from ipkit import cli; sys.setrecursionlimit(200); sys.exit(cli.main(sys.argv[1:]))"
+    for argv in (["refute", "--spec", "none", "--depth", "300", "--bound", "300"],
+                 ["hindman", "--coloring", str(coloring), "--depth", "300"]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-300:]
+        assert proc.stderr == "error: witness search refused: depth 300 passes Python's recursion limit (200)\n"
 
 
 def test_hindman_bad_coloring_exit_two(capsys, tmp_path):

@@ -17,6 +17,7 @@ from ipkit.fsfp import (
     FsFpState,
     ascending_products,
     ascending_sums,
+    ascending_union,
     check_block_order,
     distinct_ascending,
     extend_state,
@@ -83,6 +84,21 @@ def test_distinct_ascending_is_the_sorted_value_set(values, rng):
         assert distinct_ascending(form) == expected
     with pytest.raises(TypeError):
         distinct_ascending([1, "1"])
+
+
+value_sets = st.sets(st.integers(1, 1000) | st.integers(1, 10**40), max_size=30)
+
+
+@given(value_sets, value_sets, terms_lists)
+def test_ascending_union_head_and_tail_list_the_sorted_union(fs, fp, ys):
+    """The head plus ``fp[k:]`` is sorted FS u FP, and ``fp[k:]`` is exactly
+    the part of ``fp`` above all of ``fs``: for any two ascending value
+    tuples, and for the folds of a term list."""
+    for fs, fp in ((tuple(sorted(fs)), tuple(sorted(fp))), (ascending_sums(ys), ascending_products(ys))):
+        head, k = ascending_union(fs, fp)
+        assert head + list(fp[k:]) == sorted(set(fs) | set(fp))
+        assert all(p > max(fs, default=0) for p in fp[k:])
+        assert all(p <= fs[-1] for p in fp[:k])
 
 
 def test_folds_keep_their_values_and_order_through_pickling_and_copying():
