@@ -6,7 +6,12 @@ self-contained certificates that third parties can re-check, refutes IP*
 claims by exhibiting FS-structured sets in complements, plays the Hindman
 partition game on finite colorings, and computes the idempotent/ideal
 structure of finite semigroups given as Cayley tables.
+
+The names of the partition and semigroup layers load on first use (PEP 562),
+so a process that only searches and verifies never builds those layers.
 """
+
+import importlib
 
 from .errors import (
     AssociativityError,
@@ -25,15 +30,6 @@ from .fsfp import (
     state_of,
     subsystem_sums,
 )
-from .partition import (
-    Coloring,
-    FsWitness,
-    find_fs_witness,
-    hindman_finite,
-    ip_star_refute,
-    parse_coloring,
-    scale_witness,
-)
 from .search import (
     Certificate,
     OutcomeKind,
@@ -44,18 +40,6 @@ from .search import (
     stage_constraint,
     verification_failure,
     verify_certificate,
-)
-from .semigroup import (
-    FiniteSemigroup,
-    IdealStructure,
-    IdempotentOrder,
-    group_check,
-    ideal_structure,
-    idempotent_order,
-    idempotents,
-    parse_table,
-    product_formula_check,
-    validate_table,
 )
 from .setspec import (
     Bitmap,
@@ -133,3 +117,27 @@ __all__ = [
     "verification_failure",
     "verify_certificate",
 ]
+
+# name -> the submodule that defines it, imported when the name is first read
+_LAZY = {
+    name: module
+    for module, names in (
+        ("partition", "Coloring FsWitness find_fs_witness hindman_finite ip_star_refute "
+         "parse_coloring scale_witness"),
+        ("semigroup", "FiniteSemigroup IdealStructure IdempotentOrder group_check ideal_structure "
+         "idempotent_order idempotents parse_table product_formula_check validate_table"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

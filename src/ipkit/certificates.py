@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from contextlib import contextmanager
-from datetime import datetime, timezone
 
 from .errors import InputError, shown
-from .partition import FsWitness
 from .search import Certificate, SearchBudget, SearchOutcome
 
 FORMAT_VERSION = 1
@@ -73,7 +72,7 @@ def make_document(kind: str, payload: dict) -> dict:
     doc = dict(payload)
     doc["kind"] = kind
     doc["format_version"] = FORMAT_VERSION
-    doc["created_at"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    doc["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return doc
 
 

@@ -27,7 +27,6 @@ from .certificates import (
 )
 from .errors import DomainBoundError, InputError, RefusalError, StructuralError, shown
 from .fsfp import ascending_products, ascending_sums, ascending_union
-from .partition import hindman_finite, ip_star_refute, parse_coloring
 from .search import (
     DEFAULT_MAX_BLOCK,
     DEFAULT_NODE_LIMIT,
@@ -37,20 +36,22 @@ from .search import (
     budget_failure,
     search_subsystem,
 )
-from .semigroup import (
-    _product_formula_sweep,
-    group_check,
-    ideal_structure,
-    idempotent_order,
-    idempotents,
-    parse_table,
-)
 from .setspec import dilation_preimage, parse_spec, render_spec
 
 EXIT_FOUND = 0
 EXIT_ABSENT = 1
 EXIT_ERROR = 2
 EXIT_NODE_LIMIT = 3
+
+
+def __getattr__(name: str):
+    # ``bench/replay.py`` still reads ``_product_formula_sweep`` here; ROADMAP
+    # item 2 deletes this re-export.  The semigroup layer loads only on that read.
+    if name == "_product_formula_sweep":
+        from .semigroup import _product_formula_sweep
+
+        return _product_formula_sweep
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _int_field(text: str, what: str) -> int:
@@ -207,6 +208,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_refute(args) -> int:
+    from .partition import ip_star_refute
+
     target = parse_spec(args.spec)
     spec_text = render_spec(target)
     witness = ip_star_refute(target, args.depth, args.bound)
@@ -223,6 +226,8 @@ def _cmd_refute(args) -> int:
 
 
 def _cmd_hindman(args) -> int:
+    from .partition import hindman_finite, parse_coloring
+
     coloring = parse_coloring(_read_text(args.coloring))
     result = hindman_finite(coloring, args.depth)
     if args.json:
@@ -245,6 +250,15 @@ def _format_sets(sets) -> str:
 
 
 def _cmd_semigroup(args) -> int:
+    from .semigroup import (
+        _product_formula_sweep,
+        group_check,
+        ideal_structure,
+        idempotent_order,
+        idempotents,
+        parse_table,
+    )
+
     sg = parse_table(_read_text(args.table))
     ids = idempotents(sg)
     print(f"order: {sg.order}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, RefusalError, shown
 from .fsfp import finite_sums
-from .setspec import Complement, SetSpec
+from .setspec import Complement, SetSpec, eventual_period
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,21 @@ def find_fs_witness(target: SetSpec, depth: int, bound: int) -> FsWitness | None
 
     Sums may exceed ``bound``; only the terms live inside the window,
     membership of sums is the target's business.  Returns None only after
-    complete enumeration.
+    complete enumeration, or at once when a target without ``bits`` holds no
+    value <= bound: with (T, L) its eventual period, a value past T + L is a
+    member exactly when the value L below it is, so [1..min(bound, T + L)]
+    decides that.
     """
     if depth < 1:
         raise InputError(f"witness depth must be >= 1, got {depth}")
     if bound < depth:
         raise InputError(f"window bound {bound} too small for depth {depth}")
     admissible = target.predicate()
+    period = eventual_period(target)
+    if period is not None:
+        last = min(bound, period[0] + period[1])
+        if not any(map(admissible, range(1, last + 1))):
+            return None
     return _first_witness(bound, depth, lambda first: admissible)
 
 
@@ -203,10 +211,13 @@ def hindman_finite(coloring: Coloring, depth: int) -> tuple[int, FsWitness] | No
     Sums leaving the window disqualify a candidate: the coloring is undefined
     there.  The target is the first term's color class inside [1..N].
     Returns (color, witness) in canonical (lexicographic) order, or None
-    after complete enumeration.
+    after complete enumeration, or at once when depth*(depth+1)/2 > N: k
+    distinct positive terms sum to at least 1 + 2 + ... + k.
     """
     if depth < 1:
         raise InputError(f"witness depth must be >= 1, got {depth}")
+    if depth * (depth + 1) // 2 > coloring.bound:
+        return None
     colors = coloring.colors
     classes: dict[int, set[int]] = {}
     for value, color in enumerate(colors, start=1):

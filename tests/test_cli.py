@@ -787,7 +787,6 @@ def test_semigroup_full_report_computes_ideals_once(capsys, tmp_path, monkeypatc
         calls.append(sg.order)
         return ideals(sg, order_cap)
 
-    monkeypatch.setattr(cli, "ideal_structure", counted)
     monkeypatch.setattr(semigroup, "ideal_structure", counted)
     table = tmp_path / "t.txt"
     # multiplication mod 6
@@ -860,3 +859,33 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "FS (6 values)" in proc.stdout
+
+
+def test_created_at_is_the_utc_time_now(capsys, tmp_path):
+    """The stamp is ISO 8601 UTC to the second, within a few seconds of now."""
+    import calendar
+    import time
+
+    doc = tmp_path / "c.json"
+    before = time.time()
+    code, _, _ = run(capsys, "search", "--seq", "nat:12", "--spec", "mod(2,0)", "--depth", "2",
+                     "--json", str(doc))
+    after = time.time()
+    assert code == 0
+    stamp = json.loads(doc.read_text())["created_at"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp), stamp
+    seconds = calendar.timegm(time.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ"))
+    assert before - 5 <= seconds <= after + 5
+
+
+def test_refute_of_an_empty_complement_answers_at_once():
+    """Every first term up to 10^12 would be tried one at a time; the
+    complement's eventual period settles it before the search starts."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "ipkit", "refute", "--spec", "all", "--depth", "2",
+         "--bound", "1000000000000"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "no refutation within (k=2, N=1000000000000)\n", "",
+    )

@@ -1,11 +1,13 @@
 """FS witnesses, IP* refutation, witness scaling, finite Hindman colorings."""
 
+import json
 import random
 from itertools import combinations, product
 
 import pytest
 
 from conftest import fs_oracle, random_spec
+from ipkit import cli, partition
 from ipkit.errors import DomainBoundError, InputError
 from ipkit.partition import (
     Coloring,
@@ -23,6 +25,7 @@ from ipkit.setspec import (
     Empty,
     Intersection,
     Interval,
+    Union,
     dilation_preimage,
     parse_spec,
 )
@@ -101,6 +104,46 @@ def test_witness_is_lexicographically_first():
             got = search(spec, k, bound)
             wanted = _first_tuple(bound, k, target.predicate())
             assert (got.terms if got else None) == wanted, (search.__name__, spec, k, bound)
+
+
+def _not_enumerated(*args):
+    raise AssertionError("the witness search enumerated")
+
+
+def test_refute_answers_at_once_when_the_complement_is_empty(monkeypatch):
+    """A bits-free target with eventual period (T, L) meets [1..N] iff it
+    meets [1..min(N, T+L)]: an empty complement is settled without the DFS,
+    however large N is."""
+    monkeypatch.setattr(partition, "_first_witness", _not_enumerated)
+    for text in ("all", "geq(1)", "or(mod(2,0),mod(2,1))", "or(range(1,9),geq(5))", "dil(3,all)"):
+        assert ip_star_refute(parse_spec(text), 2, 10**12) is None, text
+    # no complement value <= N: geq(31) lies past the window
+    assert ip_star_refute(parse_spec("range(1,30)"), 3, 30) is None
+    # a bits target still enumerates, and so does a complement with a member
+    for text, bound in (("bits(1 2; 5)", 5), ("range(1,30)", 31)):
+        with pytest.raises(AssertionError, match="enumerated"):
+            ip_star_refute(parse_spec(text), 1, bound)
+
+
+def test_refute_closed_form_agrees_with_the_enumeration_seeded():
+    """Seeded specs, some with complements empty or past the window, against
+    the combinations oracle and the DFS run without the closed form."""
+    rng = random.Random(1432)
+    settled = 0
+    for _ in range(120):
+        spec = random_spec(rng)
+        if rng.random() < 0.3:
+            spec = Union((spec, Complement(spec)))
+        elif rng.random() < 0.3:
+            spec = Union((spec, Interval(1, rng.randint(1, 15))))
+        k, bound = rng.randint(1, 3), rng.randint(3, 12)
+        target = Complement(spec).predicate()
+        got = ip_star_refute(spec, k, bound)
+        enumerated = partition._first_witness(bound, k, lambda first: target)
+        assert got == enumerated, (spec, k, bound)
+        assert (got.terms if got else None) == _first_tuple(bound, k, target), (spec, k, bound)
+        settled += not any(map(target, range(1, bound + 1)))
+    assert settled >= 20
 
 
 def test_witness_search_holds_each_sum_once():
@@ -295,3 +338,35 @@ def test_hindman_is_first_fs_witness_over_color_classes():
                 candidates.append((w.terms, color, w))
         expected = min(candidates)[1:] if candidates else None
         assert hindman_finite(Coloring(colors), depth) == expected, (colors, depth)
+
+
+def test_hindman_answers_no_witness_in_closed_form(monkeypatch, capsys, tmp_path):
+    """k distinct positive terms sum to at least k(k+1)/2, so a one-colour
+    --depth 40 on [1..50] (820 > 50) answers without enumerating, with the
+    same line, document and exit code the enumeration gave."""
+    monkeypatch.setattr(partition, "_first_witness", _not_enumerated)
+    coloring = tmp_path / "one-colour.txt"
+    coloring.write_text("".join(f"{v} 0\n" for v in range(1, 51)))
+    doc = tmp_path / "h.json"
+    code = cli.main(["hindman", "--coloring", str(coloring), "--depth", "40", "--json", str(doc)])
+    out = capsys.readouterr().out
+    assert (code, out) == (1, "no monochromatic witness of depth 40 with all sums inside [1..50]\n")
+    written = json.loads(doc.read_text())
+    assert (written["outcome"], written["terms"], written["fs"]) == ("none", None, None)
+    assert hindman_finite(Coloring((0,) * 819), 40) is None
+    # at 1 + 2 + ... + 40 = 820 itself the enumeration runs
+    with pytest.raises(AssertionError, match="enumerated"):
+        hindman_finite(Coloring((0,) * 820), 40)
+
+
+def test_hindman_closed_form_agrees_with_the_enumeration_seeded():
+    rng = random.Random(5150)
+    settled = 0
+    for _ in range(80):
+        bound = rng.randint(1, 14)
+        colors = tuple(rng.randrange(rng.randint(1, 2)) for _ in range(bound))
+        depth = rng.randint(1, 6)
+        got = hindman_finite(Coloring(colors), depth)
+        assert (got and (got[0], got[1].terms)) == _hindman_oracle(colors, depth), (colors, depth)
+        settled += depth * (depth + 1) // 2 > bound
+    assert settled >= 20
